@@ -11,16 +11,22 @@ Sampling is adaptive random-walk Metropolis within Gibbs on transformed
 coordinates (log shapes, log tail-shape excess over its lower bound,
 logit scales within their support interval, log hyper scale), with
 per-block step adaptation during warmup only.
+
+Every block evaluates one total log-likelihood, grouped by observed prefix
+length (see ``_Data``): the scales enter it only through two sums per
+prefix length, recomputed when the scales move, so the shape and tail
+blocks cost at most 2n + 1 ``math.lgamma`` calls in plain floats. The
+scalar ``model.total_loglik`` is the oracle the tests hold it to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
+from math import lgamma
 
 import numpy as np
 
-from .model import DirichletParams
-from .special import log_gamma
 from .triangle import LossRatioTriangle, RunOffTriangle, most_recent_years, to_loss_ratios
 
 
@@ -91,38 +97,60 @@ class PosteriorSample:
 
 
 class _Data:
-    """Cached per-triangle arrays for fast likelihood evaluation."""
+    """Sufficient statistics of one triangle for the total log-likelihood.
+
+    Rows are grouped by observed prefix length, as in ``mle._Stats``:
+    ``inv`` maps each row to its group, ``kidx`` holds each group's last
+    observed development year (0-based) and ``cnt`` its row count.
+    With c the cumulative shapes, the total over the m rows is
+
+        m lnG(a0+b) - sum_j N_j lnG(a_j) + sum_j a_j L_j - const
+        - sum_k cnt_k lnG(a0+b-c_k) - sum_k c_k P_k + sum_k (a0+b-c_k-1) Q_k
+
+    where N_j counts the rows observing development year j, L_j sums their
+    log ratios in that year, const = sum_j L_j, and P_k and Q_k sum
+    ln(phi_i) and log1p(-s_i/phi_i) over the rows of group k. Only P and Q
+    depend on the scales, so :meth:`phi_sums` recomputes them when the
+    scales move, and :meth:`loglik` is n + 1 + len(kidx) ``math.lgamma``
+    calls in plain floats.
+    """
 
     def __init__(self, t: LossRatioTriangle):
         self.m, self.n = t.m, t.n
         self.k = t.k.astype(int)
         self.s = t.observed_cumulative()
         mask = np.arange(t.n)[None, :] < self.k[:, None]
-        self.lnY = np.where(mask, np.log(np.where(mask, t.ratios, 1.0)), 0.0)
-        self.row_lnY = self.lnY.sum(axis=1)
-        self.uk, self.inv = np.unique(self.k, return_inverse=True)
+        lnY = np.where(mask, np.log(np.where(mask, t.ratios, 1.0)), 0.0)
+        uk, self.inv = np.unique(self.k, return_inverse=True)
+        self.kidx = (uk - 1).tolist()
+        self.cnt = np.bincount(self.inv).tolist()
+        self.N = mask.sum(axis=0).tolist()
+        self.L = lnY.sum(axis=0).tolist()
+        self.const = float(lnY.sum())
 
-    def row_logliks(self, a, b, phi):
-        """Vector of per-row log densities (phi assumed inside support)."""
-        c = np.cumsum(a)
-        a0 = c[-1]
-        lg = log_gamma(np.concatenate((a, [a0 + b], a0 + b - c[self.uk - 1])))
-        G = np.concatenate(([0.0], np.cumsum(lg[: self.n])))
-        ck = c[self.k - 1]
-        close = a0 + b - ck
-        D = self.lnY @ a - self.row_lnY
+    def phi_sums(self, phi):
+        """Per-group sums (P, Q) of ln(phi_i) and log1p(-s_i/phi_i)."""
         return (
-            lg[self.n]
-            - G[self.k]
-            - lg[self.n + 1 :][self.inv]
-            + D
-            - ck * np.log(phi)
-            + (close - 1.0) * np.log1p(-self.s / phi)
+            np.bincount(self.inv, weights=np.log(phi)).tolist(),
+            np.bincount(self.inv, weights=np.log1p(-self.s / phi)).tolist(),
         )
 
+    def loglik(self, a, b, sums) -> float:
+        """Total log density of the observed cells (phi inside support)."""
+        a = a.tolist()
+        c = list(accumulate(a))
+        ab = c[-1] + float(b)
+        val = self.m * lgamma(ab) - self.const
+        for aj, Nj, Lj in zip(a, self.N, self.L):
+            val += aj * Lj - Nj * lgamma(aj)
+        for j, cnt, p, q in zip(self.kidx, self.cnt, *sums):
+            close = ab - c[j]
+            val += (close - 1.0) * q - c[j] * p - cnt * lgamma(close)
+        return val
 
-def _support_lower(a0: float, spec: BayesSpec) -> float:
-    return max(1.0, spec.tail_ratio * a0)
+
+def _support_lower(a0: float, tail_ratio: float) -> float:
+    return max(1.0, tail_ratio * a0)
 
 
 def log_posterior(state: BayesState, t: LossRatioTriangle, spec: BayesSpec) -> float:
@@ -136,7 +164,7 @@ def log_posterior(state: BayesState, t: LossRatioTriangle, spec: BayesSpec) -> f
     if (
         np.any(a <= 0)
         or not np.isfinite(state.b_n)
-        or state.b_n < _support_lower(a0, spec)
+        or state.b_n < _support_lower(a0, spec.tail_ratio)
         or state.b_n > spec.tail_shape_cap_mult * a0
         or state.phi_hyper <= 0
         or state.phi_hyper > spec.phi_hyper_cap
@@ -144,7 +172,7 @@ def log_posterior(state: BayesState, t: LossRatioTriangle, spec: BayesSpec) -> f
         or np.any(phi >= state.phi_hyper)
     ):
         return -np.inf
-    ll = float(data.row_logliks(a, float(state.b_n), phi).sum())
+    ll = data.loglik(a, float(state.b_n), data.phi_sums(phi))
     return ll - t.m * np.log(float(state.phi_hyper))
 
 
@@ -155,10 +183,8 @@ def _sample_truncated_beta(alpha, beta, lo, rng, rounds: int = 50):
     below the Beta bulk; stubborn components fall back to inverse-CDF
     sampling by bisection on the regularized incomplete beta.
     """
-    from .gof import regularized_incomplete_beta
-
     alpha = np.asarray(alpha, dtype=float)
-    if np.any(alpha <= 0.0):
+    if (alpha <= 0.0).any():
         raise McmcError("degenerate scale conditional: a shape prefix sum fell below 1")
     u = rng.beta(alpha, beta)
     bad = u <= lo
@@ -167,6 +193,8 @@ def _sample_truncated_beta(alpha, beta, lo, rng, rounds: int = 50):
             return u
         u[bad] = rng.beta(alpha[bad], beta[bad])
         bad = u <= lo
+    from .gof import regularized_incomplete_beta  # deferred: only the fallback needs it
+
     for i in np.nonzero(bad)[0]:
         base = regularized_incomplete_beta(float(lo[i]), float(alpha[i]), float(beta[i]))
         target = base + rng.random() * (1.0 - base)
@@ -215,6 +243,7 @@ def run_mcmc(t, spec: BayesSpec, seed: int = 0) -> PosteriorSample:
 
     data = _Data(t)
     m, n = data.m, data.n
+    row_k = data.k - 1  # index of each row's last observed development year
     fit = mle.fit_mle(t)
     a_ref = fit.theta_hat.a
 
@@ -226,28 +255,30 @@ def run_mcmc(t, spec: BayesSpec, seed: int = 0) -> PosteriorSample:
     # random-walk blocks: one per development shape, one joint rescaling of
     # the shape vector (which mixes the weakly identified concentration),
     # and the tail shape; the scales and the hyper scale are drawn exactly
-    # from their full conditionals
+    # from their full conditionals; every block proposes once per
+    # iteration, so a window's acceptance rate is its count over the window
     n_blocks = n + 3
+    window = 50
     accepted = np.zeros((spec.chains, n_blocks))
-    proposed = np.zeros((spec.chains, n_blocks))
+    ratio, b_cap, cap = spec.tail_ratio, spec.tail_shape_cap_mult, spec.phi_hyper_cap
 
     for chain in range(spec.chains):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chain,)))
         a = a_ref * np.exp(0.05 * rng.standard_normal(n))
         a0 = a.sum()
-        lower = _support_lower(a0, spec)
+        lower = _support_lower(a0, ratio)
         b = lower * (1.05 + 0.05 * rng.random()) if lower > 1.0 else 1.0 + 0.1 + 0.1 * rng.random()
         c = np.cumsum(a)
-        phi_prof = (a0 + b - 1.0) / c[data.k - 1] * data.s
+        phi_prof = (a0 + b - 1.0) / c[row_k] * data.s
         phi = data.s + (phi_prof - data.s) * np.exp(0.1 * rng.standard_normal(m))
-        hyp = min(spec.phi_hyper_cap * 0.999, float(phi.max()) * 1.25)
+        hyp = min(cap * 0.999, float(phi.max()) * 1.25)
         if hyp <= phi.max():
             raise McmcError("phi_hyper_cap is too low for the data's loss ratios")
 
-        rows = data.row_logliks(a, b, phi)
+        sums = data.phi_sums(phi)
+        ll = data.loglik(a, b, sums)
         scales = np.full(n_blocks, 0.1)
-        acc_win = np.zeros(n_blocks)
-        prop_win = np.zeros(n_blocks)
+        acc = np.zeros(n_blocks)  # accepted proposals per block, this window
 
         for it in range(spec.iterations):
             warm = it < spec.warmup
@@ -257,55 +288,40 @@ def run_mcmc(t, spec: BayesSpec, seed: int = 0) -> PosteriorSample:
                 a_new = a.copy()
                 a_new[j] = a[j] * np.exp(step)
                 a0_new = a_new.sum()
-                prop_win[j] += 1
-                if not warm:
-                    proposed[chain, j] += 1
-                if b < _support_lower(a0_new, spec) or b > spec.tail_shape_cap_mult * a0_new:
+                if b < _support_lower(a0_new, ratio) or b > b_cap * a0_new:
                     continue
-                rows_new = data.row_logliks(a_new, b, phi)
-                logr = rows_new.sum() - rows.sum() + step  # step = log-scale Jacobian delta
+                ll_new = data.loglik(a_new, b, sums)
+                logr = ll_new - ll + step  # step = log-scale Jacobian delta
                 if logr >= 0 or np.log(rng.random()) < logr:
-                    a, a0, rows = a_new, a0_new, rows_new
-                    acc_win[j] += 1
-                    if not warm:
-                        accepted[chain, j] += 1
+                    a, a0, ll = a_new, a0_new, ll_new
+                    acc[j] += 1
             # joint rescaling of the shape vector and the tail shape's
             # excess over its bound: scaling n+1 flat-prior coordinates
             # contributes a lambda^(n+1) volume term
             js = n
             step = scales[js] * rng.standard_normal()
             lam = np.exp(step)
-            prop_win[js] += 1
-            if not warm:
-                proposed[chain, js] += 1
             a_new = a * lam
             a0_new = a0 * lam
-            b_new = _support_lower(a0_new, spec) + lam * (b - _support_lower(a0, spec))
-            if b_new <= spec.tail_shape_cap_mult * a0_new:
-                rows_new = data.row_logliks(a_new, b_new, phi)
-                logr = rows_new.sum() - rows.sum() + (n + 1) * step
+            b_new = _support_lower(a0_new, ratio) + lam * (b - _support_lower(a0, ratio))
+            if b_new <= b_cap * a0_new:
+                ll_new = data.loglik(a_new, b_new, sums)
+                logr = ll_new - ll + (n + 1) * step
                 if logr >= 0 or np.log(rng.random()) < logr:
-                    a, b, a0, rows = a_new, b_new, a0_new, rows_new
-                    acc_win[js] += 1
-                    if not warm:
-                        accepted[chain, js] += 1
+                    a, b, a0, ll = a_new, b_new, a0_new, ll_new
+                    acc[js] += 1
             # tail shape block, parameterized as log excess over its bound
             jb = n + 1
-            lower = _support_lower(a0, spec)
+            lower = _support_lower(a0, ratio)
             w = np.log(b - lower)
             step = scales[jb] * rng.standard_normal()
             b_new = lower + np.exp(w + step)
-            prop_win[jb] += 1
-            if not warm:
-                proposed[chain, jb] += 1
-            if b_new <= spec.tail_shape_cap_mult * a0:
-                rows_new = data.row_logliks(a, b_new, phi)
-                logr = rows_new.sum() - rows.sum() + step
+            if b_new <= b_cap * a0:
+                ll_new = data.loglik(a, b_new, sums)
+                logr = ll_new - ll + step
                 if logr >= 0 or np.log(rng.random()) < logr:
-                    b, rows = b_new, rows_new
-                    acc_win[jb] += 1
-                    if not warm:
-                        accepted[chain, jb] += 1
+                    b, ll = b_new, ll_new
+                    acc[jb] += 1
             # ridge block: the flat priors leave the posterior nearly flat
             # along the direction that grows the tail shape together with
             # every scale, so a dedicated reversible map traverses it:
@@ -314,70 +330,66 @@ def run_mcmc(t, spec: BayesSpec, seed: int = 0) -> PosteriorSample:
             # the product of the per-row excess ratios
             jt = n + 2
             c = np.cumsum(a)
-            ck = c[data.k - 1]
+            ck = c[row_k]
             step = scales[jt] * rng.standard_normal()
             lam = np.exp(step)
-            prop_win[jt] += 1
-            if not warm:
-                proposed[chain, jt] += 1
             b_new = lam * b
             hyp_new = lam * hyp
             g = (a0 + b_new - ck) / (a0 + b - ck)
             phi_new = data.s + g * (phi - data.s)
             if (
-                b_new >= _support_lower(a0, spec)
-                and b_new <= spec.tail_shape_cap_mult * a0
-                and hyp_new <= spec.phi_hyper_cap
-                and np.all(phi_new < hyp_new)
+                b_new >= _support_lower(a0, ratio)
+                and b_new <= b_cap * a0
+                and hyp_new <= cap
+                and (phi_new < hyp_new).all()
             ):
-                rows_new = data.row_logliks(a, b_new, phi_new)
+                sums_new = data.phi_sums(phi_new)
+                ll_new = data.loglik(a, b_new, sums_new)
                 logr = (
-                    rows_new.sum() - rows.sum()
+                    ll_new - ll
                     - m * (np.log(hyp_new) - np.log(hyp))
                     + 2.0 * step
                     + np.log(g).sum()
                 )
                 if logr >= 0 or np.log(rng.random()) < logr:
-                    b, phi, hyp, rows = b_new, phi_new, hyp_new, rows_new
-                    acc_win[jt] += 1
-                    if not warm:
-                        accepted[chain, jt] += 1
+                    b, phi, hyp, sums, ll = b_new, phi_new, hyp_new, sums_new, ll_new
+                    acc[jt] += 1
             # per-year scales: the conditional of u_i = s_i / phi_i is a
             # Beta(c_k - 1, a0 + b - c_k) truncated to u_i > s_i / hyper,
             # drawn exactly (rejection with a bisected inverse-CDF fallback)
             close = a0 + b - ck
             lo_u = data.s / hyp
             u = _sample_truncated_beta(ck - 1.0, close, lo_u, rng)
-            phi_new = data.s / u
-            rows = rows - ck * (np.log(phi_new) - np.log(phi)) + (close - 1.0) * (
-                np.log1p(-u) - np.log1p(-data.s / phi)
-            )
-            phi = phi_new
+            phi = data.s / u
+            sums = data.phi_sums(phi)
+            ll = data.loglik(a, b, sums)
             # hyper scale: conditional density proportional to hyp^(-m) on
             # (max phi, cap], inverted in closed form
             top = float(phi.max())
-            cap = spec.phi_hyper_cap
             v = rng.random()
             if m == 1:
                 hyp = top * np.exp(v * (np.log(cap) - np.log(top)))
             else:
                 q = 1.0 - m
                 hyp = (top**q + v * (cap**q - top**q)) ** (1.0 / q)
-            # warmup-only step adaptation toward 25-40% acceptance
-            if warm and (it + 1) % 50 == 0:
-                rates = acc_win / np.maximum(prop_win, 1.0)
+            # warmup-only step adaptation toward 25-40% acceptance; the
+            # post-warmup counts start from zero
+            if warm and (it + 1) % window == 0:
+                rates = acc / window
                 scales[rates > 0.40] *= 1.26
                 scales[rates < 0.25] *= 0.79
-                acc_win[:] = 0.0
-                prop_win[:] = 0.0
+                acc[:] = 0.0
+            if it + 1 == spec.warmup:
+                acc[:] = 0.0
             if not warm:
                 kept_idx = it - spec.warmup
                 A[chain, kept_idx] = a
                 B[chain, kept_idx] = b
                 PHI[chain, kept_idx] = phi
                 HYP[chain, kept_idx] = hyp
+        accepted[chain] = acc
 
-    rates = accepted / np.maximum(proposed, 1.0)
+    rates = accepted / kept
     if np.any(rates.max(axis=0) == 0.0):
         block = int(np.argmax(rates.max(axis=0) == 0.0))
         raise McmcError(f"sampler diverged: block {block} accepted no proposals after warmup")
@@ -455,10 +467,9 @@ def draws_to_csv(ps: PosteriorSample, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("chain,iteration,param,value\n")
         for chain in range(ps.a.shape[0]):
-            for it in range(ps.a.shape[1]):
-                row = np.concatenate(
-                    (ps.a[chain, it], [ps.b_n[chain, it]], ps.phi[chain, it],
-                     [ps.phi_hyper[chain, it]])
-                )
-                for name, val in zip(names, row):
-                    fh.write(f"{chain + 1},{it + 1},{name},{float(val)!r}\n")
+            draws = zip(ps.a[chain], ps.b_n[chain], ps.phi[chain], ps.phi_hyper[chain])
+            for it, (a, b, phi, hyp) in enumerate(draws, start=1):
+                row = a.tolist() + [float(b)] + phi.tolist() + [float(hyp)]
+                fh.write("".join(
+                    [f"{chain + 1},{it},{name},{val!r}\n" for name, val in zip(names, row)]
+                ))

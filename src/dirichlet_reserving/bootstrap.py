@@ -172,7 +172,8 @@ def summarize(pd: PredictiveDistribution, level: float = 0.95):
 
     Returns one record per accident year with the predictive mean and the
     interval endpoints at the requested level, computed by linear
-    interpolation of order statistics.
+    interpolation of order statistics. The mean is clamped into
+    [lo, hi]: the mean of equal values can round one ulp below them.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("interval level must be inside (0, 1)")
@@ -182,14 +183,9 @@ def summarize(pd: PredictiveDistribution, level: float = 0.95):
     out = []
     for i, year in enumerate(pd.years):
         sample = pd.ultimate_samples[:, i]
-        out.append(
-            {
-                "accident_year": year,
-                "point": float(sample.mean()),
-                "lo": float(np.quantile(sample, lo_q)),
-                "hi": float(np.quantile(sample, hi_q)),
-            }
-        )
+        lo, hi = float(np.quantile(sample, lo_q)), float(np.quantile(sample, hi_q))
+        point = min(max(float(sample.mean()), lo), hi)
+        out.append({"accident_year": year, "point": point, "lo": lo, "hi": hi})
     return out
 
 

@@ -209,6 +209,8 @@ def cmd_gof(args):
 
 
 def cmd_bayes(args):
+    if args.out is None:
+        raise UsageError("bayes requires --out for the draws CSV")
     tri, years = _load(args)
     seed = _resolve_seed(args)
     lr = to_loss_ratios(tri)
@@ -222,8 +224,6 @@ def cmd_bayes(args):
     ps = bayes.run_mcmc(lr, spec, seed=seed)
     for w in ps.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    if args.out is None:
-        raise UsageError("bayes requires --out for the draws CSV")
     bayes.draws_to_csv(ps, args.out)
     if args.predict_out:
         pd = bayes.posterior_predict(ps, lr, seed=seed)

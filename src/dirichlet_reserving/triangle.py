@@ -13,6 +13,7 @@ in ascending year order, unobserved cells left empty.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,14 +129,17 @@ class LossRatioTriangle:
         return np.array([self.ratios[i, : self.k[i]].sum() for i in range(self.m)])
 
 
-def _parse_cell(token: str, where: str) -> float:
+def _parse_cell(token: str, where: str, column: str) -> float:
     token = token.strip()
     if "," in token or " " in token or "'" in token:
-        raise TriangleError(f"{where}: thousands separators are not accepted ({token!r})")
+        raise TriangleError(f"{where}, {column}: thousands separators are not accepted ({token!r})")
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
-        raise TriangleError(f"{where}: cannot parse number {token!r}") from None
+        raise TriangleError(f"{where}, {column}: cannot parse number {token!r}") from None
+    if not math.isfinite(value):
+        raise TriangleError(f"{where}, {column}: non-finite value {token!r}")
+    return value
 
 
 def load_triangle(path) -> RunOffTriangle:
@@ -163,10 +167,11 @@ def load_triangle(path) -> RunOffTriangle:
         if len(row) != n + 2:
             raise TriangleError(f"{path}:{lineno}: expected {n + 2} columns, got {len(row)}")
         where = f"{path}:{lineno}"
-        years.append(int(_parse_cell(row[0], where)))
-        premiums.append(_parse_cell(row[1], where))
+        years.append(int(_parse_cell(row[0], where, "accident_year")))
+        premiums.append(_parse_cell(row[1], where, "premium"))
         cells.append([
-            _parse_cell(tok, where) if tok.strip() else np.nan for tok in row[2:]
+            _parse_cell(tok, where, name) if tok.strip() else np.nan
+            for name, tok in zip(header[2:], row[2:])
         ])
 
     if not years:

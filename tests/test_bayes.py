@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import dirichlet_reserving as dr
-from dirichlet_reserving.bayes import BayesState, McmcError, _sample_truncated_beta
+from dirichlet_reserving.bayes import BayesState, McmcError, _Data, _sample_truncated_beta
 
 from test_model import make_lr
 
@@ -108,6 +108,47 @@ class TestLogPosterior:
         t, state = toy
         bad = BayesState(state.a, state.b_n, np.array([0.3, 0.8, 0.9]), state.phi_hyper)
         assert dr.log_posterior(bad, t, dr.BayesSpec()) == -np.inf
+
+
+class TestGroupedKernel:
+    """The prefix-grouped total against the scalar per-row oracle."""
+
+    @staticmethod
+    def random_state(rng, fit, t, tail_alpha):
+        a = fit.theta_hat.a * np.exp(0.2 * rng.standard_normal(t.n))
+        lower = max(1.0, dr.BayesSpec(tail_alpha=tail_alpha).tail_ratio * a.sum())
+        b = lower * (1.0 + rng.exponential(0.5))
+        phi = t.observed_cumulative() * (1.0 + rng.uniform(0.001, 0.5, t.m))
+        return a, b, phi
+
+    @pytest.mark.parametrize("years", [10, 18])
+    @pytest.mark.parametrize("tail_alpha", [None, 0.19])
+    def test_matches_total_loglik(self, years, tail_alpha, request):
+        t = request.getfixturevalue(f"lr{years}")
+        fit = request.getfixturevalue(f"fit{years}")
+        spec = dr.BayesSpec(tail_alpha=tail_alpha)
+        data = _Data(t)
+        rng = np.random.default_rng(years + (0 if tail_alpha is None else 1))
+        for _ in range(50):
+            a, b, phi = self.random_state(rng, fit, t, tail_alpha)
+            want = dr.total_loglik(dr.DirichletParams(a, b, phi), t)
+            assert data.loglik(a, b, data.phi_sums(phi)) == pytest.approx(want, rel=1e-12)
+            hyp = 1.1 * float(phi.max())
+            got = dr.log_posterior(BayesState(a, b, phi, hyp), t, spec)
+            assert got == pytest.approx(want - t.m * math.log(hyp), rel=1e-12)
+
+    def test_scale_sums_refresh(self, lr18, fit18):
+        # the scale sums cached for one phi must be recomputed when phi moves
+        data = _Data(lr18)
+        rng = np.random.default_rng(3)
+        a, b, phi = self.random_state(rng, fit18, lr18, 0.19)
+        sums = data.phi_sums(phi)
+        phi2 = lr18.observed_cumulative() + 1.7 * (phi - lr18.observed_cumulative())
+        stale = data.loglik(a, b, sums)
+        fresh = data.loglik(a, b, data.phi_sums(phi2))
+        want = dr.total_loglik(dr.DirichletParams(a, b, phi2), lr18)
+        assert fresh == pytest.approx(want, rel=1e-12)
+        assert abs(stale - want) > 1.0
 
 
 class TestTruncatedBeta:
@@ -302,8 +343,20 @@ def test_draws_csv(tmp_path):
     ps = dr.run_mcmc(t, spec, seed=21)
     path = tmp_path / "draws.csv"
     dr.bayes.draws_to_csv(ps, path)
-    lines = path.read_text().splitlines()
+    text = path.read_text()
+    lines = text.splitlines()
     assert lines[0] == "chain,iteration,param,value"
     params_per_draw = 3 + 1 + 6 + 1
     assert len(lines) == 1 + 2 * 4000 * params_per_draw
     assert lines[1].split(",")[:3] == ["1", "1", "a_1"]
+    # byte for byte the per-value f-string format: repr of each float
+    names = ["a_1", "a_2", "a_3", "b_n"] + [f"phi_{i}" for i in range(1, 7)] + ["phi_hyper"]
+    want = ["chain,iteration,param,value\n"]
+    for chain in range(2):
+        for it in range(4000):
+            row = np.concatenate(
+                (ps.a[chain, it], [ps.b_n[chain, it]], ps.phi[chain, it], [ps.phi_hyper[chain, it]])
+            )
+            for name, val in zip(names, row):
+                want.append(f"{chain + 1},{it + 1},{name},{float(val)!r}\n")
+    assert text == "".join(want)

@@ -138,6 +138,18 @@ class TestSummarize:
         for w, nrec in zip(wide, narrow):
             assert w["lo"] <= nrec["lo"] <= nrec["hi"] <= w["hi"]
 
+    def test_point_clamped_into_zero_width_interval(self):
+        # the mean of 1000 copies of this value rounds one ulp below it
+        x = 0.6286368942112317
+        assert float(np.full(1000, x).mean()) < x
+        pd = dr.PredictiveDistribution(
+            (1997,), 0, 1000, np.ones((1000, 1)), np.ones((1000, 1)),
+            np.full((1000, 1, 1), np.nan), np.full((1000, 1), x),
+            np.zeros((1000, 1)), np.array([x]), None, 0,
+        )
+        (rec,) = summarize(pd, 0.95)
+        assert rec["lo"] == rec["point"] == rec["hi"] == x
+
     def test_level_validation(self, boot10):
         with pytest.raises(ValueError):
             summarize(boot10[0], 1.0)

@@ -116,6 +116,22 @@ class TestPredict:
         assert pred_lines[3] == "accident_year,method,point,lo95,hi95"
 
 
+class TestBayes:
+    def test_missing_out_exits_before_sampling(self, fixture_path, monkeypatch, capsys):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("run_mcmc called without --out")
+
+        monkeypatch.setattr(dr.bayes, "run_mcmc", forbidden)
+        assert run(["bayes", "--triangle", fixture_path, "--years", "10"]) == 2
+        assert "--out" in capsys.readouterr().err
+
+    def test_non_finite_cell_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "inf.csv"
+        path.write_text("accident_year,premium,dev_1,dev_2\n2005,100,50,inf\n2006,100,40,\n")
+        assert run(["fit", "--triangle", path]) == 2
+        assert "dev_2" in capsys.readouterr().err
+
+
 class TestGof:
     def test_alpha_validation(self, fixture_path):
         assert run(["gof", "--triangle", fixture_path, "--alpha", "1.5"]) == 2

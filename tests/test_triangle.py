@@ -67,6 +67,24 @@ class TestLoad:
         with pytest.raises(TriangleError, match="separator"):
             dr.load_triangle(path)
 
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan", "Infinity"])
+    def test_non_finite_token_rejected(self, tmp_path, token):
+        text = (
+            HEADER10
+            + "\n2005,313808,68185," + token + "," * 8
+            + "\n2006,341973,66827" + "," * 9
+            + "\n"
+        )
+        path = write(tmp_path, text)
+        with pytest.raises(TriangleError, match="non-finite") as info:
+            dr.load_triangle(path)
+        assert f"{path}:2, dev_2" in str(info.value)
+
+    def test_non_finite_premium_rejected(self, tmp_path):
+        path = write(tmp_path, HEADER10 + "\n2006,inf,66827" + "," * 9 + "\n")
+        with pytest.raises(TriangleError, match="premium"):
+            dr.load_triangle(path)
+
     def test_bad_header(self, tmp_path):
         path = write(tmp_path, "year,premium,dev_1\n2006,1,1\n")
         with pytest.raises(TriangleError, match="header"):
