@@ -438,7 +438,6 @@ def posterior_predict(ps: PosteriorSample, t: LossRatioTriangle, seed: int = 0):
     observed = t.observed_cumulative()
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(9,)))
 
-    unpaid = np.full((n_draws, t.m, t.n), np.nan)
     ultimate = np.tile(observed, (n_draws, 1))
     for i in range(t.m):
         ki = int(t.k[i])
@@ -448,10 +447,9 @@ def posterior_predict(ps: PosteriorSample, t: LossRatioTriangle, seed: int = 0):
         g = rng.gamma(shapes)
         frac = g[:, :-1] / g.sum(axis=1, keepdims=True)
         scale = phi[:, i] - observed[i]
-        unpaid[:, i, ki:] = scale[:, None] * frac
-        ultimate[:, i] += unpaid[:, i, ki:].sum(axis=1)
+        ultimate[:, i] += (scale[:, None] * frac).sum(axis=1)
     return PredictiveDistribution(
-        t.years, seed, n_draws, a, phi, unpaid, ultimate,
+        t.years, seed, n_draws, a, phi, ultimate,
         ultimate - observed[None, :], observed, None, 0,
     )
 

@@ -12,19 +12,18 @@ componentwise by (MLE / bootstrap mean), and the second stage bootstraps
 from the scaled vector.
 
 Replicate randomness comes from per-replicate streams derived from
-(seed, stage, replicate index), so results are reproducible and identical
-under serial or threaded execution.
+(seed, stage, replicate index), so every replicate is reproducible on its
+own, whatever replicates precede it.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import mle
-from .model import DirichletParams
+from .model import DirichletParams, simulate_masked
 from .triangle import LossRatioTriangle
 
 
@@ -45,10 +44,9 @@ class PredictiveDistribution:
     """Replicate-level output of the predictive bootstrap.
 
     ``a_samples`` and ``phi_samples`` hold the refitted parameters per
-    replicate; ``unpaid`` holds the simulated future cells (NaN where a
-    cell is observed); ``ultimate_samples`` and ``reserve_samples`` are
-    the per accident year n-year cumulative ratio and its excess over the
-    observed cumulative. ``failed_refits`` counts resampled replicates.
+    replicate; ``ultimate_samples`` and ``reserve_samples`` are the per
+    accident year n-year cumulative ratio and its excess over the observed
+    cumulative. ``failed_refits`` counts resampled replicates.
     """
 
     years: tuple
@@ -56,7 +54,6 @@ class PredictiveDistribution:
     n_sim: int
     a_samples: np.ndarray        # (n_sim, n)
     phi_samples: np.ndarray      # (n_sim, m)
-    unpaid: np.ndarray           # (n_sim, m, n)
     ultimate_samples: np.ndarray  # (n_sim, m)
     reserve_samples: np.ndarray   # (n_sim, m)
     observed: np.ndarray          # (m,)
@@ -64,28 +61,18 @@ class PredictiveDistribution:
     failed_refits: int
 
 
-def _simulate_mask(a, b_n, phi, k, n, rng):
-    """Full-row Dirichlet draws scaled per year, masked to the staircase."""
-    shapes = np.append(a, b_n)
-    g = rng.gamma(shapes, size=(phi.size, shapes.size))
-    comp = g[:, :n] / g.sum(axis=1, keepdims=True) * phi[:, None]
-    for i in range(phi.size):
-        comp[i, k[i]:] = 0.0
-    return comp
-
-
 def bootstrap_once(
     theta_gen: DirichletParams, t: LossRatioTriangle, rng: np.random.Generator
 ) -> DirichletParams:
     """Simulate one dataset with t's mask from ``theta_gen`` and refit."""
-    sim = _simulate_mask(theta_gen.a, theta_gen.b_n, theta_gen.phi, t.k, t.n, rng)
-    return mle._fit_arrays(sim, t.k)
+    return mle._fit_arrays(simulate_masked(theta_gen, t.k, rng), t.k)
 
 
-def _replicate(theta_gen, t, seed, stage, idx, observed, want_unpaid):
+def _replicate(theta_gen, t, seed, stage, idx, observed, want_future):
     """One replicate: refit on simulated data, then simulate unpaid cells
-    of the real triangle at the refitted parameters. Resamples on refit
-    failure or support violation, reporting the number of retries."""
+    of the real triangle at the refitted parameters and sum them per
+    accident year. Resamples on refit failure or support violation,
+    reporting the number of retries."""
     k, n, m = t.k, t.n, t.m
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stage, idx)))
     failures = 0
@@ -97,7 +84,7 @@ def _replicate(theta_gen, t, seed, stage, idx, observed, want_unpaid):
             if failures > 10:
                 raise BootstrapError(f"replicate {idx} failed refit more than 10 times")
             continue
-        if not want_unpaid:
+        if not want_future:
             return theta, None, failures
         # conditional simulation must respect phi_i > observed cumulative
         partial = k < n
@@ -106,30 +93,26 @@ def _replicate(theta_gen, t, seed, stage, idx, observed, want_unpaid):
             if failures > 10:
                 raise BootstrapError(f"replicate {idx} violated support more than 10 times")
             continue
-        unpaid = np.full((m, n), np.nan)
+        unpaid = np.zeros((m, n))
         for i in range(m):
             if k[i] == n:
                 continue
             shapes = np.append(theta.a[k[i]:], theta.b_n)
             g = rng.gamma(shapes)
             unpaid[i, k[i]:] = (theta.phi[i] - observed[i]) * g[:-1] / g.sum()
-        return theta, unpaid, failures
+        return theta, unpaid.sum(axis=1), failures
 
 
-def _run_stage(theta_gen, t, n_sim, seed, stage, observed, want_unpaid, threads):
-    def job(idx):
-        return _replicate(theta_gen, t, seed, stage, idx, observed, want_unpaid)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, range(n_sim)))
-    else:
-        results = [job(idx) for idx in range(n_sim)]
+def _run_stage(theta_gen, t, n_sim, seed, stage, observed, want_future):
+    results = [
+        _replicate(theta_gen, t, seed, stage, idx, observed, want_future)
+        for idx in range(n_sim)
+    ]
     a = np.stack([r[0].a for r in results])
     phi = np.stack([r[0].phi for r in results])
-    unpaid = np.stack([r[1] for r in results]) if want_unpaid else None
+    future = np.stack([r[1] for r in results]) if want_future else None
     failures = sum(r[2] for r in results)
-    return a, phi, unpaid, failures
+    return a, phi, future, failures
 
 
 def bias_corrected_bootstrap(
@@ -137,7 +120,6 @@ def bias_corrected_bootstrap(
     t: LossRatioTriangle,
     n_sim: int = 1000,
     seed: int = 0,
-    threads: int = 1,
 ) -> PredictiveDistribution:
     """Two-stage bias-corrected predictive bootstrap.
 
@@ -148,21 +130,19 @@ def bias_corrected_bootstrap(
     if n_sim < 100:
         raise ValueError("n_sim below 100 gives unstable interval quantiles")
     observed = t.observed_cumulative()
-    a1, phi1, _, fail1 = _run_stage(theta_mle, t, n_sim, seed, 1, observed, False, threads)
+    a1, phi1, _, fail1 = _run_stage(theta_mle, t, n_sim, seed, 1, observed, False)
     theta_avg = DirichletParams(a1.mean(axis=0), 1.0, phi1.mean(axis=0))
     theta_mod = DirichletParams(
         theta_mle.a * theta_mle.a / theta_avg.a,
         1.0,
         theta_mle.phi * theta_mle.phi / theta_avg.phi,
     )
-    a2, phi2, unpaid, fail2 = _run_stage(theta_mod, t, n_sim, seed, 2, observed, True, threads)
+    a2, phi2, future, fail2 = _run_stage(theta_mod, t, n_sim, seed, 2, observed, True)
 
-    ultimate = np.tile(observed, (n_sim, 1))
-    future = np.nan_to_num(unpaid, nan=0.0).sum(axis=2)
-    ultimate = ultimate + future
+    ultimate = np.tile(observed, (n_sim, 1)) + future
     reserve = ultimate - observed[None, :]
     return PredictiveDistribution(
-        t.years, seed, n_sim, a2, phi2, unpaid, ultimate, reserve, observed,
+        t.years, seed, n_sim, a2, phi2, ultimate, reserve, observed,
         BiasCorrection(theta_avg, theta_mod), fail1 + fail2,
     )
 

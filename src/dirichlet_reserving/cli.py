@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__, bayes, benchmarks, bootstrap, gof, mle, validation
-from .model import dev_factor, dev_quota, tail_factor
+from .model import SupportError, dev_factor, dev_quota, tail_factor
 from .triangle import TriangleError, load_triangle, most_recent_years, to_loss_ratios
 
 
@@ -60,7 +60,7 @@ def _load(args, years_attr="years"):
     return tri, years
 
 
-def _emit_json(args, subcommand, config, result):
+def _emit_json(out, subcommand, config, result):
     payload = {
         "version": __version__,
         "subcommand": subcommand,
@@ -68,10 +68,10 @@ def _emit_json(args, subcommand, config, result):
         "result": result,
     }
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    _write(args.out, text)
+    _write(out, text)
 
 
-def _emit_csv(args, subcommand, config, header, rows):
+def _emit_csv(out, subcommand, config, header, rows):
     lines = [
         f"# version={__version__}",
         f"# subcommand={subcommand}",
@@ -79,7 +79,7 @@ def _emit_csv(args, subcommand, config, header, rows):
         header,
     ]
     lines.extend(rows)
-    _write(args.out, "\n".join(lines) + "\n")
+    _write(out, "\n".join(lines) + "\n")
 
 
 def _write(out, text):
@@ -110,7 +110,7 @@ def cmd_fit(args):
         "dev_quotas": [dev_quota(theta, k) for k in range(1, tri.n + 1)],
         "tail_factor": tail_factor(theta),
     }
-    _emit_json(args, "fit", config, result)
+    _emit_json(args.out, "fit", config, result)
     return 0
 
 
@@ -120,6 +120,20 @@ def _interval_rows(records, method):
         f"{float(r['lo'])!r},{float(r['hi'])!r}"
         for r in records
     ]
+
+
+def _run_bayes(args, lr, seed):
+    spec = bayes.BayesSpec(
+        tail_alpha=args.tail_alpha,
+        iterations=args.iterations,
+        warmup=args.warmup,
+        chains=args.chains,
+        phi_hyper_cap=args.phi_hyper_cap,
+    )
+    ps = bayes.run_mcmc(lr, spec, seed=seed)
+    for w in ps.warnings:
+        print(f"warning: {w}", file=sys.stderr)
+    return ps
 
 
 def cmd_predict(args):
@@ -132,7 +146,6 @@ def cmd_predict(args):
         "seed": seed,
         "method": args.method,
         "level": args.level,
-        "threads": args.threads,
     }
     if args.method in ("bf", "expected") and args.elr is None:
         raise UsageError(f"--method {args.method} requires --elr (externally expected loss ratio)")
@@ -140,9 +153,7 @@ def cmd_predict(args):
     if args.method == "mle-boot":
         config["nsim"] = args.nsim
         fit = mle.fit_mle(lr)
-        pd = bootstrap.bias_corrected_bootstrap(
-            fit.theta_hat, lr, n_sim=args.nsim, seed=seed, threads=args.threads
-        )
+        pd = bootstrap.bias_corrected_bootstrap(fit.theta_hat, lr, n_sim=args.nsim, seed=seed)
         rows = _interval_rows(bootstrap.summarize(pd, args.level), "mle-boot")
     elif args.method == "bayes":
         config.update(
@@ -153,16 +164,7 @@ def cmd_predict(args):
                 "tail_alpha": args.tail_alpha,
             }
         )
-        spec = bayes.BayesSpec(
-            tail_alpha=args.tail_alpha,
-            iterations=args.iterations,
-            warmup=args.warmup,
-            chains=args.chains,
-            phi_hyper_cap=args.phi_hyper_cap,
-        )
-        ps = bayes.run_mcmc(lr, spec, seed=seed)
-        for w in ps.warnings:
-            print(f"warning: {w}", file=sys.stderr)
+        ps = _run_bayes(args, lr, seed)
         pd = bayes.posterior_predict(ps, lr, seed=seed)
         rows = _interval_rows(bootstrap.summarize(pd, args.level), "bayes")
     elif args.method == "cl":
@@ -183,7 +185,7 @@ def cmd_predict(args):
             rows.append(f"{p.year},{args.method},{float(p.ultimate)!r},,")
     else:
         raise UsageError(f"unknown prediction method {args.method!r}")
-    _emit_csv(args, "predict", config, header, rows)
+    _emit_csv(args.out, "predict", config, header, rows)
     return 0
 
 
@@ -193,18 +195,15 @@ def cmd_gof(args):
     if not 0.0 < args.alpha < 1.0:
         raise UsageError(f"--alpha must be inside (0, 1), got {args.alpha}")
     lr = to_loss_ratios(tri)
-    result = gof.gof_test(
-        lr, alpha=args.alpha, n_boot=args.nboot, seed=seed, threads=args.threads
-    )
+    result = gof.gof_test(lr, alpha=args.alpha, n_boot=args.nboot, seed=seed)
     config = {
         "triangle": str(args.triangle),
         "years": years,
         "seed": seed,
         "alpha": args.alpha,
         "nboot": args.nboot,
-        "threads": args.threads,
     }
-    _emit_json(args, "gof", config, gof.to_json_dict(result))
+    _emit_json(args.out, "gof", config, gof.to_json_dict(result))
     return 0
 
 
@@ -214,16 +213,7 @@ def cmd_bayes(args):
     tri, years = _load(args)
     seed = _resolve_seed(args)
     lr = to_loss_ratios(tri)
-    spec = bayes.BayesSpec(
-        tail_alpha=args.tail_alpha,
-        iterations=args.iterations,
-        warmup=args.warmup,
-        chains=args.chains,
-        phi_hyper_cap=args.phi_hyper_cap,
-    )
-    ps = bayes.run_mcmc(lr, spec, seed=seed)
-    for w in ps.warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    ps = _run_bayes(args, lr, seed)
     bayes.draws_to_csv(ps, args.out)
     if args.predict_out:
         pd = bayes.posterior_predict(ps, lr, seed=seed)
@@ -238,8 +228,7 @@ def cmd_bayes(args):
             "level": args.level,
         }
         rows = _interval_rows(bootstrap.summarize(pd, args.level), "bayes")
-        out_holder = argparse.Namespace(out=args.predict_out)
-        _emit_csv(out_holder, "bayes", config, "accident_year,method,point,lo95,hi95", rows)
+        _emit_csv(args.predict_out, "bayes", config, "accident_year,method,point,lo95,hi95", rows)
     return 0
 
 
@@ -282,7 +271,7 @@ def cmd_benchmark(args):
             result["expected"].append(
                 {"accident_year": ex.year, "point": ex.ultimate, "reserve": ex.reserve}
             )
-    _emit_json(args, "benchmark", config, result)
+    _emit_json(args.out, "benchmark", config, result)
     return 0
 
 
@@ -298,7 +287,6 @@ def cmd_validate(args):
         years=years,
         n_sim=args.nsim,
         seed=seed,
-        threads=args.threads,
     )
     for name, msg in report.failures:
         print(f"warning: insurer {name} failed: {msg}", file=sys.stderr)
@@ -308,14 +296,13 @@ def cmd_validate(args):
         "years": years,
         "seed": seed,
         "nsim": args.nsim,
-        "threads": args.threads,
     }
     rows = [
         f"{r.insurer},{r.accident_year},{r.method},"
         f"{float(r.rmse)!r},{float(r.cov95)!r},{float(r.len95)!r}"
         for r in list(report.rows) + list(report.aggregates)
     ]
-    _emit_csv(args, "validate", config, "insurer,accident_year,method,rmse,cov95,len95", rows)
+    _emit_csv(args.out, "validate", config, "insurer,accident_year,method,rmse,cov95,len95", rows)
     return 0
 
 
@@ -333,7 +320,6 @@ def _build_parser():
             p.add_argument("--years", default=None, help="most recent accident years to use, or 'all'")
         p.add_argument("--seed", type=int, default=None, help="RNG seed (default: RESERVE_SEED or 0)")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
 
     p = sub.add_parser("fit", help="maximum likelihood fit")
     common(p)
@@ -396,6 +382,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SupportError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

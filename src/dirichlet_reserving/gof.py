@@ -13,13 +13,12 @@ the observed ultimate are excluded, since their transform is degenerate.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import mle
-from .model import DirichletParams
+from .model import DirichletParams, SupportError, simulate_masked
 from .special import log_gamma
 from .triangle import LossRatioTriangle
 
@@ -108,7 +107,7 @@ def pit_transform(params: DirichletParams, t: LossRatioTriangle) -> np.ndarray:
         for j in range(ki):
             y = float(t.ratios[i, j])
             if remaining <= 0.0 or y > remaining * (1.0 + 1e-9):
-                raise ValueError(
+                raise SupportError(
                     f"cell ratio outside the model support at accident year "
                     f"{t.years[i]}, development year {j + 1}"
                 )
@@ -132,28 +131,11 @@ def ks_statistic(u) -> float:
     return float(max(np.max(grid - u), np.max(u - (grid - 1.0 / N))))
 
 
-def _pit_arrays(params: DirichletParams, ratios: np.ndarray, k, years, n) -> np.ndarray:
-    t = _ArrayView(ratios, k, years, n)
-    return pit_transform(params, t)
-
-
-class _ArrayView:
-    """Duck-typed stand-in for a loss-ratio triangle over dense arrays."""
-
-    def __init__(self, ratios, k, years, n):
-        self.ratios = ratios
-        self.k = k
-        self.years = years
-        self.m = ratios.shape[0]
-        self.n = n
-
-
 def gof_test(
     t: LossRatioTriangle,
     alpha: float = 0.05,
     n_boot: int = 500,
     seed: int = 0,
-    threads: int = 1,
 ) -> GofResult:
     """Bootstrap-calibrated two-sided KS test of model fit.
 
@@ -161,6 +143,8 @@ def gof_test(
     rebuilds the null distribution from ``n_boot`` simulated datasets
     (each refitted before transforming), and rejects when the observed
     statistic falls outside the central 1 - alpha region of the null.
+    Null replicate ``idx`` draws from its own stream derived from
+    (seed, idx).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("significance level must be inside (0, 1)")
@@ -168,41 +152,29 @@ def gof_test(
     u_obs = pit_transform(fit.theta_hat, t)
     t_obs = ks_statistic(u_obs)
 
-    k, n, years = t.k, t.n, t.years
     theta = fit.theta_hat
+    mask = np.arange(t.n) < t.k[:, None]
 
-    def job(idx):
+    def null_statistic(idx):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(3, idx)))
         failures = 0
         while True:
-            sim = _simulate(theta, k, n, rng)
+            sim = simulate_masked(theta, t.k, rng)
             try:
-                refit = mle._fit_arrays(sim, k)
+                refit = mle._fit_arrays(sim, t.k)
             except (mle.ConvergenceError, mle.IdentificationError, np.linalg.LinAlgError):
                 failures += 1
                 if failures > 10:
                     raise
                 continue
-            return ks_statistic(_pit_arrays(refit, sim, k, years, n))
+            sim_t = LossRatioTriangle(t.years, t.premiums, np.where(mask, sim, np.nan))
+            return ks_statistic(pit_transform(refit, sim_t))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            null = np.array(list(pool.map(job, range(n_boot))))
-    else:
-        null = np.array([job(idx) for idx in range(n_boot)])
+    null = np.array([null_statistic(idx) for idx in range(n_boot)])
     lower = float(np.quantile(null, alpha / 2.0))
     upper = float(np.quantile(null, 1.0 - alpha / 2.0))
     reject = bool(t_obs < lower or t_obs > upper)
     return GofResult(t_obs, null, lower, upper, alpha, reject, int(u_obs.size))
-
-
-def _simulate(theta: DirichletParams, k, n, rng):
-    shapes = np.append(theta.a, theta.b_n)
-    g = rng.gamma(shapes, size=(theta.phi.size, shapes.size))
-    comp = g[:, :n] / g.sum(axis=1, keepdims=True) * theta.phi[:, None]
-    for i in range(theta.phi.size):
-        comp[i, k[i]:] = 0.0
-    return comp
 
 
 def to_json_dict(r: GofResult) -> dict:

@@ -221,6 +221,21 @@ def sample_row(params: DirichletParams, i: int, rng: np.random.Generator) -> np.
     return g / g.sum() * float(params.phi[i - 1])
 
 
+def simulate_masked(params: DirichletParams, k, rng: np.random.Generator) -> np.ndarray:
+    """Draw every row as :func:`sample_row` does, in row order, and zero
+    each row beyond its first ``k[i]`` cells.
+
+    Returns an (m, n) array: a simulated triangle with the observed mask
+    ``k``, the unobserved cells zero-filled.
+    """
+    shapes = np.append(params.a, params.b_n)
+    g = rng.gamma(shapes, size=(params.m, shapes.size))
+    comp = g[:, : params.n] / g.sum(axis=1, keepdims=True) * params.phi[:, None]
+    for i in range(params.m):
+        comp[i, k[i]:] = 0.0
+    return comp
+
+
 def sample_future_row(
     params: DirichletParams, t: LossRatioTriangle, i: int, rng: np.random.Generator
 ) -> np.ndarray:

@@ -142,12 +142,12 @@ def _parse_cell(token: str, where: str, column: str) -> float:
     return value
 
 
-def load_triangle(path) -> RunOffTriangle:
-    """Read a wide-format triangle CSV and validate the canonical staircase.
+def _read_wide_csv(path):
+    """Parse a wide-format CSV (the triangle format above) into one
+    (year, premium, cells) tuple per non-blank data row, empty cells as NaN.
 
-    The expected mask is the standard valuation layout: row i observes all
-    n cells when i <= m - n (fully developed historical years) and the
-    first m + 1 - i cells otherwise.
+    Checks the header, the column count of every row and every cell;
+    errors name the file, the line and the column.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
@@ -157,26 +157,41 @@ def load_triangle(path) -> RunOffTriangle:
     if len(header) < 3 or header[0] != "accident_year" or header[1] != "premium":
         raise TriangleError(f"{path}: header must be accident_year,premium,dev_1,...,dev_n")
     n = len(header) - 2
-    if header[2:] != [f"dev_{j}" for j in range(1, n + 1)]:
-        raise TriangleError(f"{path}: development columns must be dev_1,...,dev_{n}")
+    for j, name in enumerate(header[2:], start=1):
+        if name != f"dev_{j}":
+            raise TriangleError(
+                f"{path}:1, {name}: development columns must be dev_1,...,dev_{n}"
+            )
 
-    years, premiums, cells = [], [], []
+    out = []
     for lineno, row in enumerate(rows[1:], start=2):
         if not any(tok.strip() for tok in row):
             continue
         if len(row) != n + 2:
             raise TriangleError(f"{path}:{lineno}: expected {n + 2} columns, got {len(row)}")
         where = f"{path}:{lineno}"
-        years.append(int(_parse_cell(row[0], where, "accident_year")))
-        premiums.append(_parse_cell(row[1], where, "premium"))
-        cells.append([
-            _parse_cell(tok, where, name) if tok.strip() else np.nan
-            for name, tok in zip(header[2:], row[2:])
-        ])
-
-    if not years:
+        out.append((
+            int(_parse_cell(row[0], where, "accident_year")),
+            _parse_cell(row[1], where, "premium"),
+            [
+                _parse_cell(tok, where, name) if tok.strip() else np.nan
+                for name, tok in zip(header[2:], row[2:])
+            ],
+        ))
+    if not out:
         raise TriangleError(f"{path}: no data rows")
-    if years != sorted(years):
+    return out
+
+
+def load_triangle(path) -> RunOffTriangle:
+    """Read a wide-format triangle CSV and validate the canonical staircase.
+
+    The expected mask is the standard valuation layout: row i observes all
+    n cells when i <= m - n (fully developed historical years) and the
+    first m + 1 - i cells otherwise.
+    """
+    years, premiums, cells = zip(*_read_wide_csv(path))
+    if list(years) != sorted(years):
         raise TriangleError(f"{path}: accident years must be ascending")
     tri = RunOffTriangle(years, np.array(premiums), np.array(cells))
 

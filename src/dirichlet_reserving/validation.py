@@ -16,7 +16,6 @@ containment flag, and the interval length.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from . import benchmarks, bootstrap, mle
 from .triangle import (
     RunOffTriangle,
     TriangleError,
+    _read_wide_csv,
     load_triangle,
     most_recent_years,
     to_loss_ratios,
@@ -65,30 +65,14 @@ class EvalReport:
 
 
 def load_holdout(path) -> dict:
-    """Read a holdout CSV; returns accident year -> (premium, {dev: loss})."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise TriangleError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
-    if len(header) < 3 or header[:2] != ["accident_year", "premium"]:
-        raise TriangleError(f"{path}: header must be accident_year,premium,dev_1,...,dev_n")
-    n = len(header) - 2
+    """Read a holdout CSV, in the triangle file format with only the
+    unobserved cells filled; returns accident year -> (premium, {dev: loss})."""
     out = {}
-    for row in rows[1:]:
-        if not any(tok.strip() for tok in row):
-            continue
-        year = int(float(row[0]))
-        premium = float(row[1])
-        cells = {}
-        for j, tok in enumerate(row[2:], start=1):
-            if tok.strip():
-                cells[j] = float(tok)
-                if cells[j] <= 0:
-                    raise TriangleError(f"{path}: nonpositive holdout loss for year {year}")
-        out[year] = (premium, cells)
-    if not out:
-        raise TriangleError(f"{path}: no data rows")
+    for year, premium, cells in _read_wide_csv(path):
+        filled = {j: v for j, v in enumerate(cells, start=1) if not np.isnan(v)}
+        if any(v <= 0 for v in filled.values()):
+            raise TriangleError(f"{path}: nonpositive holdout loss for year {year}")
+        out[year] = (premium, filled)
     return out
 
 
@@ -171,7 +155,7 @@ def evaluate(predictions, actuals) -> EvalReport:
     return EvalReport(tuple(rows), tuple(aggregates), ())
 
 
-def _predict_insurer(tri: RunOffTriangle, name, methods, years, n_sim, seed, level, threads):
+def _predict_insurer(tri: RunOffTriangle, name, methods, years, n_sim, seed, level):
     if years is not None:
         tri = most_recent_years(tri, years)
     lr = to_loss_ratios(tri)
@@ -179,9 +163,7 @@ def _predict_insurer(tri: RunOffTriangle, name, methods, years, n_sim, seed, lev
     for method in methods:
         if method == "dirichlet":
             fit = mle.fit_mle(lr)
-            pd = bootstrap.bias_corrected_bootstrap(
-                fit.theta_hat, lr, n_sim=n_sim, seed=seed, threads=threads
-            )
+            pd = bootstrap.bias_corrected_bootstrap(fit.theta_hat, lr, n_sim=n_sim, seed=seed)
             for rec in bootstrap.summarize(pd, level):
                 preds.append(
                     PredictionRecord(
@@ -207,7 +189,6 @@ def run_panel(
     n_sim: int = 400,
     seed: int = 0,
     level: float = 0.95,
-    threads: int = 1,
 ) -> EvalReport:
     """Fit and score every insurer in a directory.
 
@@ -231,7 +212,7 @@ def run_panel(
             holdout = load_holdout(path.with_name(f"{name}_holdout.csv"))
             use = most_recent_years(tri, years) if years is not None else tri
             realized = realized_ultimates(use, holdout)
-            preds = _predict_insurer(tri, name, methods, years, n_sim, seed, level, threads)
+            preds = _predict_insurer(tri, name, methods, years, n_sim, seed, level)
         except Exception as exc:  # isolate per-insurer failures
             failures.append((name, str(exc)))
             continue

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import dirichlet_reserving as dr
-from dirichlet_reserving import gof as gof_mod
+from dirichlet_reserving.model import simulate_masked
 from dirichlet_reserving.validation import realized_ultimates, run_panel
 
 from conftest import (
@@ -120,7 +120,7 @@ def _calibration_rejection_rate(theta, lr, n_triangles=200, n_boot=150, seed=6):
     mask = np.arange(lr.n)[None, :] < lr.k[:, None]
     for idx in range(n_triangles):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
-        sim = gof_mod._simulate(theta, lr.k, lr.n, rng)
+        sim = simulate_masked(theta, lr.k, rng)
         t_cal = dr.LossRatioTriangle(
             lr.years, lr.premiums, np.where(mask, sim, np.nan)
         )

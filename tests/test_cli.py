@@ -70,7 +70,7 @@ class TestPredict:
         a, b = tmp_path / "p1.csv", tmp_path / "p2.csv"
         argv = [
             "predict", "--triangle", fixture_path, "--method", "mle-boot",
-            "--years", "10", "--seed", "7", "--nsim", "150", "--threads", "1",
+            "--years", "10", "--seed", "7", "--nsim", "150",
         ]
         assert run(argv + ["--out", a]) == 0
         assert run(argv + ["--out", b]) == 0
@@ -140,12 +140,20 @@ class TestGof:
         out = tmp_path / "gof.json"
         assert run([
             "gof", "--triangle", fixture_path, "--years", "10", "--alpha", "0.05",
-            "--nboot", "200", "--seed", "1", "--threads", "1", "--out", out,
+            "--nboot", "200", "--seed", "1", "--out", out,
         ]) == 0
         payload = json.loads(out.read_text())
         assert payload["result"]["reject"] is False
         assert payload["result"]["n_boot"] == 200
         assert payload["config"]["seed"] == 1
+
+    def test_support_error_exits_one(self, fixture_path, monkeypatch, capsys):
+        def outside_support(*args, **kwargs):
+            raise dr.model.SupportError("cell ratio outside the model support")
+
+        monkeypatch.setattr(dr.gof, "gof_test", outside_support)
+        assert run(["gof", "--triangle", fixture_path, "--years", "10"]) == 1
+        assert "numerical failure" in capsys.readouterr().err
 
 
 class TestBenchmark:

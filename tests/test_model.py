@@ -294,6 +294,16 @@ class TestSampleRow:
         assert abs(g1.var(ddof=1) - var) < 0.05 * var
 
 
+class TestSimulateMasked:
+    def test_equals_masked_rows_of_sample_row(self, lr10, fit10):
+        theta = fit10.theta_hat
+        sim = dr.model.simulate_masked(theta, lr10.k, np.random.default_rng(16))
+        rng = np.random.default_rng(16)
+        expect = np.array([dr.sample_row(theta, i, rng)[: lr10.n] for i in range(1, lr10.m + 1)])
+        expect[np.arange(lr10.n) >= lr10.k[:, None]] = 0.0
+        assert np.array_equal(sim, expect)
+
+
 class TestSampleFutureRow:
     def test_complete_row_empty(self, lr18, fit18):
         rng = np.random.default_rng(15)

@@ -54,6 +54,27 @@ class TestHoldoutJoin:
             realized_ultimates(triangle18, broken)
 
 
+class TestLoadHoldout:
+    HEADER = "accident_year,premium,dev_1,dev_2,dev_3"
+
+    @pytest.mark.parametrize(
+        "text, where, match",
+        [
+            (HEADER + '\n2006,100,,"1,000",5\n', ":2, dev_2", "separator"),
+            (HEADER + "\n2006,100,,inf,5\n", ":2, dev_2", "non-finite"),
+            (HEADER + "\n2006,100,,nan,5\n", ":2, dev_2", "non-finite"),
+            (HEADER + "\n2006,100,,7\n", ":2: expected 5 columns", "columns"),
+            ("accident_year,premium,dev_1,dev_3,dev_2\n2006,100,,,5\n", ":1, dev_3", "dev_1"),
+        ],
+    )
+    def test_malformed_file_names_line_and_column(self, tmp_path, text, where, match):
+        path = tmp_path / "h_holdout.csv"
+        path.write_text(text)
+        with pytest.raises(TriangleError, match=match) as info:
+            dr.load_holdout(path)
+        assert f"{path}{where}" in str(info.value)
+
+
 class TestEvaluate:
     def test_exact_predictions_score_perfectly(self):
         actuals = {("x", 2000): 0.7, ("x", 2001): 0.8}
