@@ -13,7 +13,11 @@ from the scaled vector.
 
 Replicate randomness comes from per-replicate streams derived from
 (seed, stage, replicate index), so every replicate is reproducible on its
-own, whatever replicates precede it.
+own, whatever replicates precede it. :func:`refit_replicates`, which the
+goodness-of-fit null shares, refits replicates in lockstep batches of
+``_CHUNK`` (a fixed constant, not an option) through ``mle._fit_batch``;
+a replicate's refit is bit-identical to fitting it alone, so the chunk
+size changes no output.
 """
 
 from __future__ import annotations
@@ -68,51 +72,91 @@ def bootstrap_once(
     return mle._fit_arrays(simulate_masked(theta_gen, t.k, rng), t.k)
 
 
-def _replicate(theta_gen, t, seed, stage, idx, observed, want_future):
-    """One replicate: refit on simulated data, then simulate unpaid cells
-    of the real triangle at the refitted parameters and sum them per
-    accident year. Resamples on refit failure or support violation,
-    reporting the number of retries."""
-    k, n, m = t.k, t.n, t.m
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stage, idx)))
-    failures = 0
-    while True:
-        try:
-            theta = bootstrap_once(theta_gen, t, rng)
-        except (mle.ConvergenceError, mle.IdentificationError, np.linalg.LinAlgError):
-            failures += 1
-            if failures > 10:
-                raise BootstrapError(f"replicate {idx} failed refit more than 10 times")
-            continue
-        if not want_future:
-            return theta, None, failures
-        # conditional simulation must respect phi_i > observed cumulative
-        partial = k < n
-        if np.any(theta.phi[partial] <= observed[partial]):
-            failures += 1
-            if failures > 10:
-                raise BootstrapError(f"replicate {idx} violated support more than 10 times")
-            continue
-        unpaid = np.zeros((m, n))
-        for i in range(m):
-            if k[i] == n:
-                continue
-            shapes = np.append(theta.a[k[i]:], theta.b_n)
-            g = rng.gamma(shapes)
-            unpaid[i, k[i]:] = (theta.phi[i] - observed[i]) * g[:-1] / g.sum()
-        return theta, unpaid.sum(axis=1), failures
+# Replicates per lockstep batch: large enough to spread numpy's per-call
+# overhead thin, small enough that a batch's (R, m, n) work arrays stay at
+# 100-200 KiB. At 256 the peak RSS of repeated bootstrap calls in one
+# process grew about 1 MiB more than at 128, for about 15% more speed.
+_CHUNK = 128
 
 
-def _run_stage(theta_gen, t, n_sim, seed, stage, observed, want_future):
-    results = [
-        _replicate(theta_gen, t, seed, stage, idx, observed, want_future)
-        for idx in range(n_sim)
-    ]
-    a = np.stack([r[0].a for r in results])
-    phi = np.stack([r[0].phi for r in results])
-    future = np.stack([r[1] for r in results]) if want_future else None
-    failures = sum(r[2] for r in results)
-    return a, phi, future, failures
+def refit_replicates(theta_gen, k, seed, stage, count, observed=None, error=BootstrapError):
+    """Simulate and refit ``count`` replicates from ``theta_gen`` with the
+    observed mask ``k``, ``_CHUNK`` at a time.
+
+    Replicate ``idx`` draws from its own generator
+    ``SeedSequence(seed, spawn_key=(stage, idx))``. Its dataset is refitted
+    together with the rest of its chunk by ``mle._fit_batch``. A replicate
+    whose refit fails, or, when ``observed`` is given, whose scale of a
+    partially developed row is not above ``observed``, simulates again
+    from its own generator in the next round, so its sequence of RNG calls
+    does not depend on the chunk. More than 10 failures of one replicate
+    raise ``error``, naming the lowest such index.
+
+    Yields ``(a, phi, sims, rngs, failures)`` per chunk, in replicate
+    order: refitted shapes (R, n) and scales (R, m), the kept simulated
+    datasets (R, m, n), each replicate's generator, for draws that follow
+    its refit, and the chunk's number of redraws.
+    """
+    k = np.asarray(k)
+    m, n = theta_gen.m, theta_gen.n
+    partial = k < n
+    for start in range(0, count, _CHUNK):
+        size = min(_CHUNK, count - start)
+        rngs = [
+            np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stage, start + j)))
+            for j in range(size)
+        ]
+        a, phi, sims = np.empty((size, n)), np.empty((size, m)), np.empty((size, m, n))
+        failures = np.zeros(size, dtype=int)
+        pending = np.arange(size)
+        while pending.size:
+            sim = np.stack([simulate_masked(theta_gen, k, rngs[j]) for j in pending])
+            a_p, phi_p, ok = mle._fit_batch(sim, k)
+            if observed is not None:
+                # conditional simulation must respect phi_i > observed cumulative
+                ok &= (phi_p[:, partial] > observed[partial]).all(axis=1)
+            kept = pending[ok]
+            a[kept], phi[kept], sims[kept] = a_p[ok], phi_p[ok], sim[ok]
+            pending = pending[~ok]
+            failures[pending] += 1
+            if pending.size and failures[pending[0]] > 10:
+                raise error(f"replicate {start + pending[0]} failed to refit more than 10 times")
+        yield a, phi, sims, rngs, int(failures.sum())
+
+
+def _unpaid_totals(a, phi, k, observed, rngs):
+    """Per replicate and accident year, the sum of the unpaid cells drawn
+    from the refitted conditional model: each replicate's generator makes
+    one gamma call on its partial rows' shape vectors, concatenated."""
+    R, n = a.shape
+    rows = np.flatnonzero(k < n)
+    unpaid = np.zeros((R, phi.shape[1], n))
+    if rows.size == 0:
+        return unpaid.sum(axis=2)
+    # column n of the padded shapes is the tail shape b_n = 1
+    cols = np.concatenate([np.arange(k[i], n + 1) for i in rows])
+    shapes = np.append(a, np.ones((R, 1)), axis=1)[:, cols]
+    g = np.stack([rng.gamma(row) for rng, row in zip(rngs, shapes)])
+    start = 0
+    for i in rows:
+        seg = g[:, start : start + n - k[i] + 1]
+        start += seg.shape[1]
+        unpaid[:, i, k[i]:] = (phi[:, i] - observed[i])[:, None] * seg[:, :-1] / seg.sum(axis=1)[:, None]
+    return unpaid.sum(axis=2)
+
+
+def _run_stage(theta_gen, t, n_sim, seed, stage, observed=None):
+    """Refit one stage's replicates; with ``observed`` (stage 2), check
+    their support and draw their unpaid cells."""
+    a, phi, future, failures = [], [], [], 0
+    for a_c, phi_c, _, rngs, fails in refit_replicates(theta_gen, t.k, seed, stage, n_sim, observed):
+        a.append(a_c)
+        phi.append(phi_c)
+        if observed is not None:
+            future.append(_unpaid_totals(a_c, phi_c, t.k, observed, rngs))
+        failures += fails
+    future = np.concatenate(future) if observed is not None else None
+    return np.concatenate(a), np.concatenate(phi), future, failures
 
 
 def bias_corrected_bootstrap(
@@ -130,14 +174,14 @@ def bias_corrected_bootstrap(
     if n_sim < 100:
         raise ValueError("n_sim below 100 gives unstable interval quantiles")
     observed = t.observed_cumulative()
-    a1, phi1, _, fail1 = _run_stage(theta_mle, t, n_sim, seed, 1, observed, False)
+    a1, phi1, _, fail1 = _run_stage(theta_mle, t, n_sim, seed, 1)
     theta_avg = DirichletParams(a1.mean(axis=0), 1.0, phi1.mean(axis=0))
     theta_mod = DirichletParams(
         theta_mle.a * theta_mle.a / theta_avg.a,
         1.0,
         theta_mle.phi * theta_mle.phi / theta_avg.phi,
     )
-    a2, phi2, future, fail2 = _run_stage(theta_mod, t, n_sim, seed, 2, observed, True)
+    a2, phi2, future, fail2 = _run_stage(theta_mod, t, n_sim, seed, 2, observed)
 
     ultimate = np.tile(observed, (n_sim, 1)) + future
     reserve = ultimate - observed[None, :]

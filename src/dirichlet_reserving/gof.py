@@ -13,13 +13,14 @@ the observed ultimate are excluded, since their transform is degenerate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import mle
-from .model import DirichletParams, SupportError, simulate_masked
-from .special import log_gamma
+from .bootstrap import refit_replicates
+from .model import DirichletParams, SupportError
 from .triangle import LossRatioTriangle
 
 
@@ -82,9 +83,9 @@ def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
         return 0.0
     if x >= 1.0:
         return 1.0
-    front = np.exp(
-        a * np.log(x) + b * np.log1p(-x)
-        - (log_gamma(a) + log_gamma(b) - log_gamma(a + b))
+    front = math.exp(
+        a * math.log(x) + b * math.log1p(-x)
+        - (math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
     )
     # evaluate on whichever side keeps the continued fraction fast-converging
     if x < (a + 1.0) / (a + b + 2.0):
@@ -144,7 +145,10 @@ def gof_test(
     (each refitted before transforming), and rejects when the observed
     statistic falls outside the central 1 - alpha region of the null.
     Null replicate ``idx`` draws from its own stream derived from
-    (seed, idx).
+    (seed, idx); the refits run in the bootstrap's lockstep batches
+    (:func:`bootstrap.refit_replicates`), so the chunk size changes no
+    statistic. More than 10 failed refits of one replicate raise
+    ``ConvergenceError``.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("significance level must be inside (0, 1)")
@@ -152,25 +156,14 @@ def gof_test(
     u_obs = pit_transform(fit.theta_hat, t)
     t_obs = ks_statistic(u_obs)
 
-    theta = fit.theta_hat
     mask = np.arange(t.n) < t.k[:, None]
-
-    def null_statistic(idx):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(3, idx)))
-        failures = 0
-        while True:
-            sim = simulate_masked(theta, t.k, rng)
-            try:
-                refit = mle._fit_arrays(sim, t.k)
-            except (mle.ConvergenceError, mle.IdentificationError, np.linalg.LinAlgError):
-                failures += 1
-                if failures > 10:
-                    raise
-                continue
+    null = []
+    batches = refit_replicates(fit.theta_hat, t.k, seed, 3, n_boot, error=mle.ConvergenceError)
+    for a, phi, sims, _, _ in batches:
+        for a_r, phi_r, sim in zip(a, phi, sims):
             sim_t = LossRatioTriangle(t.years, t.premiums, np.where(mask, sim, np.nan))
-            return ks_statistic(pit_transform(refit, sim_t))
-
-    null = np.array([null_statistic(idx) for idx in range(n_boot)])
+            null.append(ks_statistic(pit_transform(DirichletParams(a_r, 1.0, phi_r), sim_t)))
+    null = np.array(null)
     lower = float(np.quantile(null, alpha / 2.0))
     upper = float(np.quantile(null, 1.0 - alpha / 2.0))
     reject = bool(t_obs < lower or t_obs > upper)

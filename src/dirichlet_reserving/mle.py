@@ -5,6 +5,13 @@ are profiled out in closed form, and the development shapes are found by
 Newton-Raphson on the profiled log-likelihood with an analytic gradient
 and Hessian. Iterations run on log shapes to enforce positivity, with
 backtracking step halving and a gradient-step fallback.
+
+One Newton implementation serves every fit: it runs R datasets that share
+one observed mask in lockstep on (R, n) arrays, each with its own step,
+line search and stopping tests. :func:`fit_mle` is a batch of one; the
+bootstrap and the goodness-of-fit null refit their replicates in batches
+through :func:`_fit_batch`. Batch invariance: a dataset's fit is
+bit-identical whatever other datasets share its batch.
 """
 
 from __future__ import annotations
@@ -39,24 +46,33 @@ class FitResult:
 
 
 class _Stats:
-    """Sufficient statistics of one staircase dataset for the profiled
-    likelihood. Rows are grouped by observed prefix length so that
-    likelihood, gradient and Hessian evaluations are O(n) / O(n^2)."""
+    """Sufficient statistics of R datasets that share one staircase mask,
+    for the profiled likelihood.
+
+    Rows are grouped by observed prefix length so that evaluations cost
+    O(n) / O(n^2) per dataset. The grouping (``N``, ``cnt``, ``kk``,
+    ``ckk``) depends on the mask only and is shared; ``s``, ``L``, ``M``
+    and ``mean_complete`` carry a leading batch axis. ``loglik`` and
+    ``grad`` take shapes of shape (R', n) for the datasets ``rows`` (all
+    of them when None) and return (R',) and (R', n); ``hess`` depends on
+    the mask only, takes any (R', n) and returns (R', n, n).
+    Every reduction is elementwise or runs along a contiguous last axis,
+    so a dataset's values do not depend on which others share its batch.
+    """
 
     def __init__(self, ratios: np.ndarray, k: np.ndarray):
-        m, n = ratios.shape
+        _, m, n = ratios.shape
         self.m, self.n = m, n
         self.k = np.asarray(k, dtype=int)
         mask = np.arange(n)[None, :] < self.k[:, None]
-        vals = np.where(mask, ratios, 1.0)
-        self.s = np.where(mask, ratios, 0.0).sum(axis=1)
+        self.s = np.where(mask, ratios, 0.0).sum(axis=2)
         self.N = mask.sum(axis=0)
         if np.any(self.N == 0):
             j = int(np.argmax(self.N == 0)) + 1
             raise IdentificationError(f"development year {j} is never observed")
-        lny = np.log(vals)
-        self.L = lny.sum(axis=0)
-        self.M = (mask * np.log(self.s)[:, None]).sum(axis=0)
+        lny = np.where(mask, ratios, 1.0)
+        self.L = np.log(lny, out=lny).sum(axis=1)
+        self.M = (mask * np.log(self.s)[:, :, None]).sum(axis=1)
         self.cnt = np.bincount(self.k, minlength=n + 1).astype(float)
         # distinct partial prefix lengths (complete rows contribute nothing
         # to the profile terms)
@@ -64,131 +80,198 @@ class _Stats:
         self.ckk = self.cnt[self.kk]
         if not np.any(self.k == n):
             raise IdentificationError("development year n is never observed")
-        self.mean_complete = float(self.s[self.k == n].mean())
+        self.mean_complete = np.take(self.s, np.flatnonzero(self.k == n), axis=1).mean(axis=1)
+        idx = np.arange(1, n + 1)
+        self._later = np.maximum.outer(idx, idx)
+        self._earlier = np.minimum.outer(idx, idx) - 1
 
-    def loglik(self, a: np.ndarray) -> float:
-        if not np.all(np.isfinite(a)) or np.any(a <= 0) or a.max() > 1e100:
-            return -np.inf
-        c = np.cumsum(a)
-        a0 = c[-1]
-        ck = c[self.kk - 1]
+    def _cumulative(self, a: np.ndarray):
+        # np.take keeps the gathered columns C-ordered, so that row sums
+        # over them run as they would on one dataset; a[:, idx] would not
+        c = np.cumsum(a, axis=1)
+        return c[:, -1:], np.take(c, self.kk - 1, axis=1)
+
+    def loglik(self, a: np.ndarray, rows=None) -> np.ndarray:
+        out = np.full(a.shape[0], -np.inf)
+        ok = np.isfinite(a).all(axis=1) & (a > 0).all(axis=1) & (a.max(axis=1) <= 1e100)
+        a = a[ok]
+        a0, ck = self._cumulative(a)
         tail = a0 - ck  # exact: cumulative sums are monotone
-        if np.any(tail <= 0.0):
-            return -np.inf  # later shapes vanished below float resolution
-        lg = log_gamma(np.concatenate(([a0 + 1.0], a, tail + 1.0)))
-        val = self.m * lg[0] - float(self.N @ lg[1 : self.n + 1])
-        val += float((a - 1.0) @ self.L) - float(a @ self.M)
-        val += float(
-            self.ckk
-            @ (
-                -lg[self.n + 1 :]
-                + ck * np.log(ck / a0)
-                + (a0 - ck) * np.log((a0 - ck) / a0)
-            )
-        )
-        return val
-
-    def grad(self, a: np.ndarray) -> np.ndarray:
+        # a zero tail means later shapes vanished below float resolution
+        fine = (tail > 0.0).all(axis=1)
+        ok[ok] = fine
+        if not fine.any():
+            return out
+        a, a0, ck, tail = a[fine], a0[fine], ck[fine], tail[fine]
+        rows = np.flatnonzero(ok) if rows is None else np.asarray(rows)[ok]
         n = self.n
-        c = np.cumsum(a)
-        a0 = c[-1]
-        ck = c[self.kk - 1]
-        dg = digamma(np.concatenate(([a0 + 1.0], a, (a0 - ck) + 1.0)))
-        g = self.m * dg[0] - self.N * dg[1 : n + 1] + self.L - self.M
-        t1 = np.zeros(n + 1)
-        t1[self.kk] = self.ckk * np.log(ck / a0)
-        t2 = np.zeros(n + 1)
-        t2[self.kk] = self.ckk * (-dg[n + 1 :] + np.log((a0 - ck) / a0))
+        lg = log_gamma(np.concatenate((a0 + 1.0, a, tail + 1.0), axis=1))
+        val = self.m * lg[:, 0] - (self.N * lg[:, 1 : n + 1]).sum(axis=1)
+        val += ((a - 1.0) * self.L[rows]).sum(axis=1) - (a * self.M[rows]).sum(axis=1)
+        val += (
+            self.ckk
+            * (-lg[:, n + 1 :] + ck * np.log(ck / a0) + tail * np.log(tail / a0))
+        ).sum(axis=1)
+        out[ok] = val
+        return out
+
+    def grad(self, a: np.ndarray, rows=None) -> np.ndarray:
+        rows = slice(None) if rows is None else rows
+        R, n = a.shape
+        a0, ck = self._cumulative(a)
+        dg = digamma(np.concatenate((a0 + 1.0, a, (a0 - ck) + 1.0), axis=1))
+        g = self.m * dg[:, :1] - self.N * dg[:, 1 : n + 1] + self.L[rows] - self.M[rows]
+        t1 = np.zeros((R, n + 1))
+        t1[:, self.kk] = self.ckk * np.log(ck / a0)
+        t2 = np.zeros((R, n + 1))
+        t2[:, self.kk] = self.ckk * (-dg[:, n + 1 :] + np.log((a0 - ck) / a0))
         # rows still developing at year j contribute t1; rows already closed
         # before j contribute t2
-        g += np.cumsum(t1[::-1])[::-1][1:]
-        g += np.concatenate(([0.0], np.cumsum(t2)[1:n]))
+        g += np.cumsum(t1[:, ::-1], axis=1)[:, ::-1][:, 1:]
+        g += np.concatenate((np.zeros((R, 1)), np.cumsum(t2, axis=1)[:, 1:n]), axis=1)
         return g
 
     def hess(self, a: np.ndarray) -> np.ndarray:
-        n = self.n
-        c = np.cumsum(a)
-        a0 = c[-1]
-        ck = c[self.kk - 1]
-        tg = trigamma(np.concatenate(([a0 + 1.0], a, (a0 - ck) + 1.0)))
-        t1 = np.zeros(n + 2)
-        t1[self.kk] = self.ckk / ck
-        t1[n] = self.cnt[n] / a0
-        suf1 = np.cumsum(t1[::-1])[::-1]  # suf1[q] = sum over prefixes >= q
-        t2 = np.zeros(n + 1)
-        t2[self.kk] = self.ckk * (1.0 / (a0 - ck) - tg[n + 1 :])
-        pre2 = np.cumsum(t2)  # pre2[q-1] = sum over prefixes < q
-        idx = np.arange(1, n + 1)
-        H = np.full((n, n), self.m * (tg[0] - 1.0 / a0))
-        H += suf1[np.maximum.outer(idx, idx)]
-        H += pre2[np.minimum.outer(idx, idx) - 1]
-        H[np.diag_indices(n)] -= self.N * tg[1 : n + 1]
+        R, n = a.shape
+        a0, ck = self._cumulative(a)
+        tg = trigamma(np.concatenate((a0 + 1.0, a, (a0 - ck) + 1.0), axis=1))
+        t1 = np.zeros((R, n + 2))
+        t1[:, self.kk] = self.ckk / ck
+        t1[:, n] = self.cnt[n] / a0[:, 0]
+        suf1 = np.cumsum(t1[:, ::-1], axis=1)[:, ::-1]  # suf1[q] = sum over prefixes >= q
+        t2 = np.zeros((R, n + 1))
+        t2[:, self.kk] = self.ckk * (1.0 / (a0 - ck) - tg[:, n + 1 :])
+        pre2 = np.cumsum(t2, axis=1)  # pre2[q-1] = sum over prefixes < q
+        H = suf1[:, self._later]
+        H += (self.m * (tg[:, 0] - 1.0 / a0[:, 0]))[:, None, None]
+        H += pre2[:, self._earlier]
+        diag = np.arange(n)
+        H[:, diag, diag] -= self.N * tg[:, 1 : n + 1]
         return H
 
 
 def _starting_values(ratios: np.ndarray, k: np.ndarray, stats: _Stats) -> np.ndarray:
-    n = ratios.shape[1]
+    n = ratios.shape[2]
     mask = np.arange(n)[None, :] < np.asarray(k)[:, None]
-    colmean = np.where(mask, ratios, 0.0).sum(axis=0) / mask.sum(axis=0)
-    base = colmean / stats.mean_complete
-    return 100.0 * base / base.sum()
+    colmean = np.where(mask, ratios, 0.0).sum(axis=1) / mask.sum(axis=0)
+    base = colmean / stats.mean_complete[:, None]
+    return 100.0 * base / base.sum(axis=1, keepdims=True)
 
 
-def _newton(stats: _Stats, a0_vec: np.ndarray, max_iterations: int, step_tol: float, grad_tol: float):
-    x = np.log(a0_vec)
+def _solve(H: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve every system of the stack; a singular one gives a NaN row
+    instead of failing the others."""
+    try:
+        return np.linalg.solve(H, b[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        out = np.full_like(b, np.nan)
+        for r in range(b.shape[0]):
+            try:
+                out[r] = np.linalg.solve(H[r], b[r, :, None])[:, 0]
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _newton(stats: _Stats, a_start: np.ndarray, max_iterations: int, step_tol: float, grad_tol: float):
+    """Profiled Newton-Raphson on all of ``stats``' datasets in lockstep.
+
+    Works on log shapes. Each dataset keeps its own gradient test, Newton
+    step (the gradient direction when the Hessian gives no ascent),
+    backtracking factor over at most 31 halvings, ``step_tol`` test and
+    convergence flag; finished datasets drop out of the batch. A dataset
+    also converges, whether or not its line search then finds an increase,
+    when the predicted gain of its Newton step, half the Newton decrement
+    -g'H^-1 g in log coordinates, is below 1e-13 max(1, |ll|): the profiled
+    value carries rounding error at that scale from its largest terms
+    (m lgamma(a0 + 1) and the like), so no line search can show a gain
+    that small.
+
+    Returns shapes (R, n), log-likelihoods (R,), the total iteration count
+    over the batch as an int, gradient max-norms (R,) and convergence
+    flags (R,).
+    """
+    R, n = a_start.shape
+    x = np.log(a_start)
     ll = stats.loglik(np.exp(x))
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iterations + 1):
-        a = np.exp(x)
-        g = stats.grad(a)
-        if np.max(np.abs(g)) < grad_tol:
-            converged = True
+    iterations = np.zeros(R, dtype=int)
+    converged = np.zeros(R, dtype=bool)
+    active = np.ones(R, dtype=bool)
+    diag = np.arange(n)
+    for it in range(1, max_iterations + 1):
+        act = np.flatnonzero(active)
+        if act.size == 0:
+            break
+        iterations[act] = it
+        a = np.exp(x[act])
+        g = stats.grad(a, act)
+        small = np.max(np.abs(g), axis=1) < grad_tol
+        converged[act[small]] = True
+        active[act[small]] = False
+        act, a, g = act[~small], a[~small], g[~small]
+        if act.size == 0:
             break
         gl = a * g
-        Hl = np.outer(a, a) * stats.hess(a) + np.diag(a * g)
-        step = None
-        try:
-            step = np.linalg.solve(Hl, -gl)
-        except np.linalg.LinAlgError:
-            pass
-        if step is None or not np.all(np.isfinite(step)) or step @ gl <= 0.0:
-            step = gl / np.linalg.norm(gl)
-        accepted = False
-        t = 1.0
+        Hl = stats.hess(a)
+        Hl *= a[:, :, None] * a[:, None, :]
+        Hl[:, diag, diag] += gl
+        step = _solve(Hl, -gl)
+        slope = (step * gl).sum(axis=1)
+        newton = np.isfinite(step).all(axis=1) & (slope > 0.0)
+        if not newton.all():
+            fallback = ~newton
+            step[fallback] = gl[fallback] / np.linalg.norm(gl[fallback], axis=1)[:, None]
+        flat = newton & (0.5 * slope < 1e-13 * np.maximum(1.0, np.abs(ll[act])))
+
+        xa = x[act]
+        xn, lln = np.empty_like(xa), np.empty(act.size)
+        accepted = np.zeros(act.size, dtype=bool)
+        t = np.ones(act.size)
+        search = np.arange(act.size)
         for _ in range(31):
-            xn = x + t * step
+            xt = xa[search] + t[search, None] * step[search]
             with np.errstate(over="ignore"):
-                an = np.exp(xn)
-            lln = stats.loglik(an)
-            if np.isfinite(lln) and lln > ll:
-                accepted = True
+                lt = stats.loglik(np.exp(xt), act[search])
+            up = np.isfinite(lt) & (lt > ll[act[search]])
+            hit = search[up]
+            xn[hit], lln[hit], accepted[hit] = xt[up], lt[up], True
+            search = search[~up]
+            if search.size == 0:
                 break
-            t *= 0.5
-        if not accepted:
-            break
-        rel = float(np.max(np.abs(np.exp(xn) - a) / a))
-        x, ll = xn, lln
-        if rel < step_tol:
-            converged = True
-            break
+            t[search] *= 0.5
+        rel = np.zeros(act.size)
+        rel[accepted] = np.max(np.abs(np.exp(xn[accepted]) - a[accepted]) / a[accepted], axis=1)
+        x[act[accepted]], ll[act[accepted]] = xn[accepted], lln[accepted]
+        done = flat | (accepted & (rel < step_tol))
+        converged[act[done]] = True
+        active[act[done | ~accepted]] = False
     a = np.exp(x)
-    gnorm = float(np.max(np.abs(stats.grad(a))))
-    if gnorm < grad_tol:
-        converged = True
-    return a, ll, iterations, gnorm, converged
+    gnorm = np.max(np.abs(stats.grad(a)), axis=1)
+    converged |= gnorm < grad_tol
+    return a, ll, int(iterations.sum()), gnorm, converged
+
+
+def _fit_batch(ratios: np.ndarray, k: np.ndarray):
+    """Fit R datasets of shape (R, m, n) that share the mask ``k`` (cells
+    beyond each row's prefix ignored) in one lockstep Newton run.
+
+    Returns shapes (R, n), profiled scales (R, m) and convergence flags
+    (R,). Each dataset's result is bit-identical to fitting it alone.
+    """
+    k = np.asarray(k)
+    stats = _Stats(ratios, k)
+    a, _, _, _, converged = _newton(stats, _starting_values(ratios, k, stats), 200, 1e-8, 1e-6)
+    phi = (a.sum(axis=1)[:, None] / np.take(np.cumsum(a, axis=1), k - 1, axis=1)) * stats.s
+    return a, phi, converged
 
 
 def _fit_arrays(ratios: np.ndarray, k: np.ndarray) -> DirichletParams:
-    """Fit on dense arrays (cells beyond each row's prefix ignored); used
-    by the resampling modules to avoid triangle re-validation per replicate."""
-    stats = _Stats(ratios, k)
-    a_start = _starting_values(ratios, k, stats)
-    a, _, _, _, converged = _newton(stats, a_start, 200, 1e-8, 1e-6)
-    if not converged:
+    """Fit one dataset on dense arrays, as a batch of one; used by
+    :func:`bootstrap.bootstrap_once` to avoid triangle re-validation."""
+    a, phi, converged = _fit_batch(ratios[None], k)
+    if not converged[0]:
         raise ConvergenceError("refit did not converge")
-    phi = (a.sum() / np.cumsum(a)[np.asarray(k) - 1]) * stats.s
-    return DirichletParams(a, 1.0, phi)
+    return DirichletParams(a[0], 1.0, phi[0])
 
 
 def profile_phi(a: np.ndarray, b_n: float, t: LossRatioTriangle) -> np.ndarray:
@@ -221,35 +304,41 @@ def fit_mle(
     IdentificationError
         If some development year is observed by no accident year.
     ConvergenceError
-        If the iteration budget is exhausted without meeting the step or
-        gradient tolerance.
+        If the iteration budget is exhausted, or the line search fails,
+        before the step or gradient tolerance is met or the predicted gain
+        falls below the log-likelihood's roundoff floor.
     """
-    ratios = np.nan_to_num(t.ratios, nan=0.0)
+    ratios = np.nan_to_num(t.ratios, nan=0.0)[None]
     stats = _Stats(ratios, t.k)
     a_start = _starting_values(ratios, t.k, stats)
     a, ll, iterations, gnorm, converged = _newton(
         stats, a_start, max_iterations, step_tol, grad_tol
     )
-    if not converged:
+    a, gnorm = a[0], float(gnorm[0])
+    if not converged[0]:
         raise ConvergenceError(
             f"no convergence after {iterations} iterations (gradient norm {gnorm:.3g})"
         )
     phi = profile_phi(a, 1.0, t)
     theta = DirichletParams(a, 1.0, phi)
-    return FitResult(theta, float(ll), iterations, converged, gnorm, t.years)
+    return FitResult(theta, float(ll[0]), iterations, True, gnorm, t.years)
+
+
+def _one(t: LossRatioTriangle) -> _Stats:
+    return _Stats(np.nan_to_num(t.ratios, nan=0.0)[None], t.k)
 
 
 def profiled_loglik(a: np.ndarray, t: LossRatioTriangle) -> float:
     """Log-likelihood at shapes ``a`` with the tail shape at 1 and the
     scales at their profiled optimum."""
-    return _Stats(np.nan_to_num(t.ratios, nan=0.0), t.k).loglik(np.asarray(a, dtype=float))
+    return float(_one(t).loglik(np.asarray(a, dtype=float)[None])[0])
 
 
 def profiled_gradient(a: np.ndarray, t: LossRatioTriangle) -> np.ndarray:
     """Analytic gradient of :func:`profiled_loglik` in the shape parameters."""
-    return _Stats(np.nan_to_num(t.ratios, nan=0.0), t.k).grad(np.asarray(a, dtype=float))
+    return _one(t).grad(np.asarray(a, dtype=float)[None])[0]
 
 
 def profiled_hessian(a: np.ndarray, t: LossRatioTriangle) -> np.ndarray:
     """Analytic Hessian of :func:`profiled_loglik` in the shape parameters."""
-    return _Stats(np.nan_to_num(t.ratios, nan=0.0), t.k).hess(np.asarray(a, dtype=float))
+    return _one(t).hess(np.asarray(a, dtype=float)[None])[0]

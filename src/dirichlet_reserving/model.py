@@ -228,12 +228,11 @@ def simulate_masked(params: DirichletParams, k, rng: np.random.Generator) -> np.
     Returns an (m, n) array: a simulated triangle with the observed mask
     ``k``, the unobserved cells zero-filled.
     """
+    n = params.n
     shapes = np.append(params.a, params.b_n)
-    g = rng.gamma(shapes, size=(params.m, shapes.size))
-    comp = g[:, : params.n] / g.sum(axis=1, keepdims=True) * params.phi[:, None]
-    for i in range(params.m):
-        comp[i, k[i]:] = 0.0
-    return comp
+    g = rng.gamma(shapes, size=(params.m, n + 1))
+    comp = g[:, :n] / g.sum(axis=1, keepdims=True) * params.phi[:, None]
+    return np.where(np.arange(n) < np.asarray(k)[:, None], comp, 0.0)
 
 
 def sample_future_row(

@@ -146,8 +146,9 @@ def _read_wide_csv(path):
     """Parse a wide-format CSV (the triangle format above) into one
     (year, premium, cells) tuple per non-blank data row, empty cells as NaN.
 
-    Checks the header, the column count of every row and every cell;
-    errors name the file, the line and the column.
+    Checks the header, the column count of every row, every cell and that
+    no accident year repeats; errors name the file, the line and the
+    column.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
@@ -163,15 +164,21 @@ def _read_wide_csv(path):
                 f"{path}:1, {name}: development columns must be dev_1,...,dev_{n}"
             )
 
-    out = []
+    out, seen = [], {}
     for lineno, row in enumerate(rows[1:], start=2):
         if not any(tok.strip() for tok in row):
             continue
         if len(row) != n + 2:
             raise TriangleError(f"{path}:{lineno}: expected {n + 2} columns, got {len(row)}")
         where = f"{path}:{lineno}"
+        year = int(_parse_cell(row[0], where, "accident_year"))
+        if year in seen:
+            raise TriangleError(
+                f"{where}, accident_year: accident year {year} repeats line {seen[year]}"
+            )
+        seen[year] = lineno
         out.append((
-            int(_parse_cell(row[0], where, "accident_year")),
+            year,
             _parse_cell(row[1], where, "premium"),
             [
                 _parse_cell(tok, where, name) if tok.strip() else np.nan

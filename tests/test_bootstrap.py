@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 import dirichlet_reserving as dr
+from dirichlet_reserving import bootstrap
 from dirichlet_reserving.bootstrap import summarize, samples_to_csv
+from dirichlet_reserving.cli import main
+from dirichlet_reserving.mle import ConvergenceError
 
 from conftest import BOOT_NSIM, BOOT_SEED, REF_INT_DIR_10, REF_INT_DIR_18, REF_SE_A1_10
 
@@ -123,6 +126,63 @@ class TestReproducibility:
         a = dr.bias_corrected_bootstrap(fit10.theta_hat, lr10, n_sim=120, seed=9)
         b = dr.bias_corrected_bootstrap(fit10.theta_hat, lr10, n_sim=120, seed=10)
         assert not np.array_equal(a.ultimate_samples, b.ultimate_samples)
+
+
+class TestReplicateEngine:
+    def test_lockstep_refits_equal_one_at_a_time(self, lr18, fit18):
+        # at seed 11 one of the first 100 stage-1 refits at 18 years fails
+        # once and is redrawn from its own stream
+        theta, seed = fit18.theta_hat, 11
+        ((a, phi, _, _, failures),) = bootstrap.refit_replicates(theta, lr18.k, seed, 1, 100)
+        assert failures == 1
+        retries = 0
+        for idx in range(100):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1, idx)))
+            while True:
+                try:
+                    refit = dr.bootstrap_once(theta, lr18, rng)
+                    break
+                except ConvergenceError:
+                    retries += 1
+            np.testing.assert_array_equal(refit.a, a[idx])
+            np.testing.assert_array_equal(refit.phi, phi[idx])
+        assert retries == failures
+
+    def test_unpaid_totals_match_per_row_draws(self, lr18, fit18):
+        # reference: one gamma call per partial row into a zero-filled
+        # (m, n) buffer, summed per row
+        k, n, observed = lr18.k, lr18.n, lr18.observed_cumulative()
+        ((a, phi, _, _, _),) = bootstrap.refit_replicates(fit18.theta_hat, k, 3, 2, 20)
+        got = bootstrap._unpaid_totals(a, phi, k, observed, [np.random.default_rng(r) for r in range(20)])
+        for r in range(20):
+            rng = np.random.default_rng(r)
+            unpaid = np.zeros((lr18.m, n))
+            for i in np.flatnonzero(k < n):
+                g = rng.gamma(np.append(a[r, k[i]:], 1.0))
+                unpaid[i, k[i]:] = (phi[r, i] - observed[i]) * g[:-1] / g.sum()
+            np.testing.assert_array_equal(got[r], unpaid.sum(axis=1))
+
+    def test_retried_replicates_are_seed_deterministic(self, lr18, fit18):
+        a = dr.bias_corrected_bootstrap(fit18.theta_hat, lr18, n_sim=100, seed=0)
+        b = dr.bias_corrected_bootstrap(fit18.theta_hat, lr18, n_sim=100, seed=0)
+        assert a.failed_refits > 0
+        assert a.failed_refits == b.failed_refits
+        np.testing.assert_array_equal(a.a_samples, b.a_samples)
+        np.testing.assert_array_equal(a.ultimate_samples, b.ultimate_samples)
+
+    def test_predict_bytes_independent_of_chunk(self, tmp_path, monkeypatch):
+        argv = [
+            "predict", "--triangle", str(dr.example_insurer_path()), "--method", "mle-boot",
+            "--years", "all", "--seed", "0", "--nsim", "100",
+        ]
+        outputs = []
+        for chunk in (bootstrap._CHUNK, 7, 1000):
+            monkeypatch.setattr(bootstrap, "_CHUNK", chunk)
+            path = tmp_path / f"chunk{chunk}.csv"
+            assert main(argv + ["--out", str(path)]) == 0
+            outputs.append(path.read_bytes())
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
 
 
 class TestSummarize:

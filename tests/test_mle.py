@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import dirichlet_reserving as dr
+from dirichlet_reserving import mle
 from dirichlet_reserving.mle import ConvergenceError, IdentificationError
+from dirichlet_reserving.model import simulate_masked
 
 from conftest import REF_A_10, REF_A_18, REF_PHI_10, REF_PHI_18_LAST10
 
@@ -174,8 +176,67 @@ class TestFit:
         with pytest.raises(ConvergenceError):
             dr.fit_mle(lr10, max_iterations=1, step_tol=1e-16, grad_tol=1e-16)
 
+    def test_roundoff_floor_stops_at_optimum(self, triangle18, lr18):
+        # an 18x10 insurer drawn from the 18-year reference shapes whose
+        # optimum sits where the profiled value's roundoff hides every
+        # Newton gain: the gradient test alone never passes (max-norm
+        # 1.79e-6) and backtracking finds no increase
+        phi = np.concatenate((lr18.observed_cumulative()[:8], REF_PHI_18_LAST10))
+        g = np.random.default_rng(122).gamma(np.append(REF_A_18, 1.0), size=(18, 11))
+        ratios = g[:, :-1] / g.sum(axis=1, keepdims=True) * phi[:, None]
+        losses = np.where(np.arange(10) < lr18.k[:, None], ratios * triangle18.premiums[:, None], np.nan)
+        t = dr.to_loss_ratios(dr.RunOffTriangle(triangle18.years, triangle18.premiums, losses))
+        fit = dr.fit_mle(t)
+        assert fit.converged and fit.iterations <= 10
+        assert fit.gradient_norm > 1e-6
+        rng = np.random.default_rng(26)
+        for _ in range(5):
+            a = fit.theta_hat.a * (1.0 + 1e-3 * rng.standard_normal(10))
+            assert dr.profiled_loglik(a, t) < fit.loglik
+
     def test_factors_match_reference_table(self, fit10):
         from conftest import REF_GAMMA_DIR_10
 
         got = np.array([dr.dev_factor(fit10.theta_hat, k) for k in range(1, 10)])
         np.testing.assert_allclose(got, REF_GAMMA_DIR_10, atol=0.002)
+
+
+def _simulated(lr, fit, count, seed):
+    rng = np.random.default_rng(seed)
+    return np.stack([simulate_masked(fit.theta_hat, lr.k, rng) for _ in range(count)])
+
+
+def _as_triangle(lr, sim):
+    mask = np.arange(lr.n) < lr.k[:, None]
+    return dr.LossRatioTriangle(lr.years, lr.premiums, np.where(mask, sim, np.nan))
+
+
+class TestBatchEngine:
+    @pytest.mark.parametrize("years", [10, 18])
+    def test_batch_fit_equals_fits_alone(self, years, lr10, lr18, fit10, fit18):
+        lr, fit = (lr10, fit10) if years == 10 else (lr18, fit18)
+        sims = _simulated(lr, fit, 40, 27)
+        a, phi, ok = mle._fit_batch(sims, lr.k)
+        assert ok.all()
+        for i in range(sims.shape[0]):
+            a1, phi1, ok1 = mle._fit_batch(sims[i : i + 1], lr.k)
+            assert ok1[0]
+            np.testing.assert_array_equal(a1[0], a[i])
+            np.testing.assert_array_equal(phi1[0], phi[i])
+
+    @pytest.mark.parametrize("years", [10, 18])
+    def test_batched_rows_match_single_dataset_oracles(self, years, lr10, lr18, fit10, fit18):
+        lr, fit = (lr10, fit10) if years == 10 else (lr18, fit18)
+        sims = _simulated(lr, fit, 12, 28)
+        # near each dataset's optimum, where the profiled value is far from
+        # zero and a relative tolerance is meaningful
+        optima, _, _ = mle._fit_batch(sims, lr.k)
+        shapes = optima * np.random.default_rng(29).uniform(0.9, 1.1, size=(12, lr.n))
+        stats = mle._Stats(sims, lr.k)
+        ll, g, H = stats.loglik(shapes), stats.grad(shapes), stats.hess(shapes)
+        for i in range(12):
+            t = _as_triangle(lr, sims[i])
+            assert ll[i] == dr.profiled_loglik(shapes[i], t)
+            np.testing.assert_array_equal(g[i], dr.profiled_gradient(shapes[i], t))
+            np.testing.assert_array_equal(H[i], dr.profiled_hessian(shapes[i], t))
+            assert ll[i] == pytest.approx(profiled_via_model(shapes[i], 1.0, t), rel=1e-12)

@@ -80,6 +80,18 @@ class TestLoad:
             dr.load_triangle(path)
         assert f"{path}:2, dev_2" in str(info.value)
 
+    def test_duplicate_accident_year_rejected(self, tmp_path):
+        text = (
+            HEADER10
+            + "\n2005,313808,68185,1000" + "," * 8
+            + "\n2005,341973,66827" + "," * 9
+            + "\n"
+        )
+        path = write(tmp_path, text)
+        with pytest.raises(TriangleError, match="repeats line 2") as info:
+            dr.load_triangle(path)
+        assert f"{path}:3, accident_year" in str(info.value)
+
     def test_non_finite_premium_rejected(self, tmp_path):
         path = write(tmp_path, HEADER10 + "\n2006,inf,66827" + "," * 9 + "\n")
         with pytest.raises(TriangleError, match="premium"):

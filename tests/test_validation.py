@@ -65,6 +65,7 @@ class TestLoadHoldout:
             (HEADER + "\n2006,100,,nan,5\n", ":2, dev_2", "non-finite"),
             (HEADER + "\n2006,100,,7\n", ":2: expected 5 columns", "columns"),
             ("accident_year,premium,dev_1,dev_3,dev_2\n2006,100,,,5\n", ":1, dev_3", "dev_1"),
+            (HEADER + "\n2006,100,,,5\n2006,100,,,6\n", ":3, accident_year", "repeats line 2"),
         ],
     )
     def test_malformed_file_names_line_and_column(self, tmp_path, text, where, match):
