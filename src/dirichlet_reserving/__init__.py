@@ -21,6 +21,7 @@ from .bootstrap import (
     summarize,
 )
 from .bayes import BayesSpec, BayesState, PosteriorSample, log_posterior, posterior_predict, run_mcmc
+from .errors import InputError, NumericalError
 from .gof import GofResult, gof_test, ks_statistic, pit_transform
 from .mle import FitResult, fit_mle, profile_phi, profiled_gradient, profiled_hessian, profiled_loglik
 from .model import (

@@ -27,10 +27,11 @@ from math import lgamma
 
 import numpy as np
 
+from .errors import InputError, NumericalError
 from .triangle import LossRatioTriangle, RunOffTriangle, most_recent_years, to_loss_ratios
 
 
-class McmcError(RuntimeError):
+class McmcError(NumericalError):
     """Sampler divergence or convergence-diagnostic failure."""
 
 
@@ -53,11 +54,13 @@ class BayesSpec:
 
     def __post_init__(self):
         if self.tail_alpha is not None and not 0.0 <= self.tail_alpha < 1.0:
-            raise ValueError("tail_alpha must lie in [0, 1)")
+            raise InputError("tail_alpha must lie in [0, 1)")
         if self.iterations <= self.warmup:
-            raise ValueError("iterations must exceed warmup")
+            raise InputError("iterations must exceed warmup")
         if self.warmup < 1 or self.chains < 1:
-            raise ValueError("need warmup >= 1 and chains >= 1")
+            raise InputError("need warmup >= 1 and chains >= 1")
+        if not 0.0 < self.phi_hyper_cap < np.inf:
+            raise InputError("phi_hyper_cap must be positive and finite")
 
     @property
     def tail_ratio(self) -> float:

@@ -14,6 +14,7 @@ from statistics import NormalDist
 
 import numpy as np
 
+from .errors import InputError
 from .model import ReservePrediction
 from .triangle import LossRatioTriangle
 
@@ -45,7 +46,7 @@ class ClFit:
     def predictions(self, level: float = 0.95) -> list[ReservePrediction]:
         """Per-year point predictions with normal-approximation intervals."""
         if not 0.0 < level < 1.0:
-            raise ValueError("interval level must be inside (0, 1)")
+            raise InputError("interval level must be inside (0, 1)")
         z = NormalDist().inv_cdf(0.5 + level / 2.0)
         out = []
         for i, year in enumerate(self.years):
@@ -83,7 +84,7 @@ def cl_fit(t: LossRatioTriangle) -> ClFit:
     for j in range(n - 1):
         rows = k >= j + 2
         if not rows.any():
-            raise ValueError(f"development factor {j + 1} is unestimable: no year observes it")
+            raise InputError(f"development factor {j + 1} is unestimable: no year observes it")
         num = C[rows, j + 1].sum()
         den = C[rows, j].sum()
         factors[j] = num / den
@@ -155,7 +156,7 @@ def bf_predict(
     externally expected ultimate, weighted by the development quota at the
     accident year's observed age."""
     if expected_ultimate <= 0:
-        raise ValueError("the expected ultimate loss ratio must be positive")
+        raise InputError("the expected ultimate loss ratio must be positive")
     if not 1 <= i <= t.m:
         raise IndexError(f"accident year index {i} out of range 1..{t.m}")
     eta = fit.quota(int(fit.k[i - 1]))

@@ -27,11 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mle
+from .errors import InputError, NumericalError
 from .model import DirichletParams, simulate_masked
 from .triangle import LossRatioTriangle
 
 
-class BootstrapError(RuntimeError):
+class BootstrapError(NumericalError):
     """Too many replicates failed to refit."""
 
 
@@ -172,7 +173,7 @@ def bias_corrected_bootstrap(
     the tail shape is pinned at 1 because every refit returns 1.
     """
     if n_sim < 100:
-        raise ValueError("n_sim below 100 gives unstable interval quantiles")
+        raise InputError("n_sim below 100 gives unstable interval quantiles")
     observed = t.observed_cumulative()
     a1, phi1, _, fail1 = _run_stage(theta_mle, t, n_sim, seed, 1)
     theta_avg = DirichletParams(a1.mean(axis=0), 1.0, phi1.mean(axis=0))
@@ -200,7 +201,7 @@ def summarize(pd: PredictiveDistribution, level: float = 0.95):
     [lo, hi]: the mean of equal values can round one ulp below them.
     """
     if not 0.0 < level < 1.0:
-        raise ValueError("interval level must be inside (0, 1)")
+        raise InputError("interval level must be inside (0, 1)")
     if pd.n_sim == 0:
         raise ValueError("no replicates to summarize")
     lo_q, hi_q = (1.0 - level) / 2.0, (1.0 + level) / 2.0

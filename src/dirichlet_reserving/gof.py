@@ -20,6 +20,7 @@ import numpy as np
 
 from . import mle
 from .bootstrap import refit_replicates
+from .errors import InputError
 from .model import DirichletParams, SupportError
 from .triangle import LossRatioTriangle
 
@@ -151,7 +152,9 @@ def gof_test(
     ``ConvergenceError``.
     """
     if not 0.0 < alpha < 1.0:
-        raise ValueError("significance level must be inside (0, 1)")
+        raise InputError("significance level must be inside (0, 1)")
+    if n_boot < 1:
+        raise InputError(f"n_boot must be at least 1, got {n_boot}")
     fit = mle.fit_mle(t)
     u_obs = pit_transform(fit.theta_hat, t)
     t_obs = ks_statistic(u_obs)

@@ -20,16 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError, NumericalError
 from .model import DirichletParams
 from .special import digamma, log_gamma, trigamma
 from .triangle import LossRatioTriangle
 
 
-class IdentificationError(ValueError):
+class IdentificationError(InputError):
     """A development year is never observed, leaving its shape parameter free."""
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(NumericalError):
     """Newton-Raphson failed to converge within the iteration budget."""
 
 

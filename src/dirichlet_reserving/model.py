@@ -18,11 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
 from .special import log_gamma
 from .triangle import LossRatioTriangle
 
 
-class SupportError(ValueError):
+class SupportError(NumericalError):
     """A loss-ratio configuration lies outside the model's support."""
 
 

@@ -18,8 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InputError
 
-class TriangleError(ValueError):
+
+class TriangleError(InputError):
     """Raised on malformed triangle files or invalid triangle data."""
 
 

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import benchmarks, bootstrap, mle
+from .errors import InputError
 from .triangle import (
     RunOffTriangle,
     TriangleError,
@@ -155,31 +156,23 @@ def evaluate(predictions, actuals) -> EvalReport:
     return EvalReport(tuple(rows), tuple(aggregates), ())
 
 
-def _predict_insurer(tri: RunOffTriangle, name, methods, years, n_sim, seed, level):
-    if years is not None:
-        tri = most_recent_years(tri, years)
-    lr = to_loss_ratios(tri)
-    preds = []
-    for method in methods:
-        if method == "dirichlet":
-            fit = mle.fit_mle(lr)
-            pd = bootstrap.bias_corrected_bootstrap(fit.theta_hat, lr, n_sim=n_sim, seed=seed)
-            for rec in bootstrap.summarize(pd, level):
-                preds.append(
-                    PredictionRecord(
-                        name, rec["accident_year"], "dirichlet",
-                        rec["point"], rec["lo"], rec["hi"],
-                    )
-                )
-        elif method == "cl":
-            fit = benchmarks.cl_fit(lr)
-            for rp in fit.predictions(level):
-                preds.append(
-                    PredictionRecord(name, rp.year, "cl", rp.ultimate, rp.lo, rp.hi)
-                )
-        else:
-            raise ValueError(f"unknown panel method {method!r}")
-    return preds
+PANEL_METHODS = ("dirichlet", "cl")
+
+
+def predict_intervals(lr, method, n_sim, seed, level):
+    """Per accident year interval records, as :func:`bootstrap.summarize`
+    gives them, of one panel method: ``dirichlet`` is the bias-corrected
+    bootstrap of the MLE, ``cl`` is Chain-Ladder with Mack intervals."""
+    if method == "dirichlet":
+        fit = mle.fit_mle(lr)
+        pd = bootstrap.bias_corrected_bootstrap(fit.theta_hat, lr, n_sim=n_sim, seed=seed)
+        return bootstrap.summarize(pd, level)
+    if method == "cl":
+        return [
+            {"accident_year": p.year, "point": p.ultimate, "lo": p.lo, "hi": p.hi}
+            for p in benchmarks.cl_fit(lr).predictions(level)
+        ]
+    raise InputError(f"unknown panel method {method!r}")
 
 
 def run_panel(
@@ -212,7 +205,12 @@ def run_panel(
             holdout = load_holdout(path.with_name(f"{name}_holdout.csv"))
             use = most_recent_years(tri, years) if years is not None else tri
             realized = realized_ultimates(use, holdout)
-            preds = _predict_insurer(tri, name, methods, years, n_sim, seed, level)
+            lr = to_loss_ratios(use)
+            preds = [
+                PredictionRecord(name, r["accident_year"], method, r["point"], r["lo"], r["hi"])
+                for method in methods
+                for r in predict_intervals(lr, method, n_sim, seed, level)
+            ]
         except Exception as exc:  # isolate per-insurer failures
             failures.append((name, str(exc)))
             continue
@@ -225,12 +223,20 @@ def run_panel(
     return EvalReport(report.rows, report.aggregates, tuple(failures))
 
 
+REPORT_HEADER = "insurer,accident_year,method,rmse,cov95,len95"
+
+
+def report_lines(report: EvalReport) -> list:
+    """CSV lines, without the header, of the per-insurer rows then the
+    aggregate rows."""
+    return [
+        f"{r.insurer},{r.accident_year},{r.method},"
+        f"{float(r.rmse)!r},{float(r.cov95)!r},{float(r.len95)!r}"
+        for r in report.rows + report.aggregates
+    ]
+
+
 def report_to_csv(report: EvalReport, path) -> None:
     """Write per-insurer rows then aggregate rows."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("insurer,accident_year,method,rmse,cov95,len95\n")
-        for r in list(report.rows) + list(report.aggregates):
-            fh.write(
-                f"{r.insurer},{r.accident_year},{r.method},"
-                f"{float(r.rmse)!r},{float(r.cov95)!r},{float(r.len95)!r}\n"
-            )
+        fh.write("\n".join([REPORT_HEADER, *report_lines(report)]) + "\n")

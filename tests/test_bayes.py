@@ -61,6 +61,9 @@ class TestSpecValidation:
             dr.BayesSpec(iterations=100, warmup=100)
         with pytest.raises(ValueError):
             dr.BayesSpec(chains=0)
+        for cap in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(dr.InputError, match="phi_hyper_cap"):
+                dr.BayesSpec(phi_hyper_cap=cap)
 
     def test_tail_ratio(self):
         assert dr.BayesSpec(tail_alpha=0.19).tail_ratio == pytest.approx(0.19 / 0.81)

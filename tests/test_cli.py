@@ -1,7 +1,11 @@
 """Command-line interface: subcommand outputs, exit statuses, embedded
 config reproducibility, and the seed fallback."""
 
+import importlib
+import inspect
 import json
+import pkgutil
+import shutil
 import subprocess
 import sys
 
@@ -17,6 +21,15 @@ from test_bayes import synthetic_small
 @pytest.fixture(scope="module")
 def fixture_path():
     return dr.example_insurer_path()
+
+
+@pytest.fixture
+def panel_dir(tmp_path):
+    panel = tmp_path / "panel"
+    panel.mkdir()
+    shutil.copy(dr.example_insurer_path(), panel / "example.csv")
+    shutil.copy(dr.example_holdout_path(), panel / "example_holdout.csv")
+    return panel
 
 
 def run(argv, capsys=None):
@@ -114,6 +127,7 @@ class TestPredict:
         assert len(lines) == 1 + 2 * 4000 * (3 + 1 + 6 + 1)
         pred_lines = pred.read_text().splitlines()
         assert pred_lines[3] == "accident_year,method,point,lo95,hi95"
+        assert json.loads(pred_lines[2].split("=", 1)[1])["phi_hyper_cap"] == 1.2
 
 
 class TestBayes:
@@ -171,16 +185,10 @@ class TestBenchmark:
 
 
 class TestValidate:
-    def test_panel_csv(self, tmp_path):
-        import shutil
-
-        panel = tmp_path / "panel"
-        panel.mkdir()
-        shutil.copy(dr.example_insurer_path(), panel / "example.csv")
-        shutil.copy(dr.example_holdout_path(), panel / "example_holdout.csv")
+    def test_panel_csv(self, panel_dir, tmp_path):
         out = tmp_path / "report.csv"
         assert run([
-            "validate", "--panel", panel, "--methods", "cl", "--years", "10",
+            "validate", "--panel", panel_dir, "--methods", "cl", "--years", "10",
             "--out", out,
         ]) == 0
         lines = out.read_text().splitlines()
@@ -216,3 +224,88 @@ def test_console_entry_point(fixture_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["b_n"] == 1.0
+
+
+# (argv with {tri}, {panel} and {out} placeholders, the flag the error names)
+BAD_ARGUMENTS = [
+    (["predict", "--triangle", "{tri}", "--method", "mle-boot", "--level", "1.5"], "--level"),
+    (["bayes", "--triangle", "{tri}", "--level", "1.5",
+      "--out", "{out}/d.csv", "--predict-out", "{out}/p.csv"], "--level"),
+    (["benchmark", "--triangle", "{tri}", "--level", "0"], "--level"),
+    (["gof", "--triangle", "{tri}", "--alpha", "1.5"], "--alpha"),
+    (["gof", "--triangle", "{tri}", "--nboot", "0"], "--nboot"),
+    (["predict", "--triangle", "{tri}", "--method", "mle-boot", "--nsim", "50"], "--nsim"),
+    (["validate", "--panel", "{panel}", "--nsim", "50"], "--nsim"),
+    (["predict", "--triangle", "{tri}", "--method", "bf", "--elr", "-0.5"], "--elr"),
+    (["benchmark", "--triangle", "{tri}", "--elr", "0"], "--elr"),
+    (["benchmark", "--triangle", "{tri}", "--elr", "inf"], "--elr"),
+    (["predict", "--triangle", "{tri}", "--method", "bf"], "--elr"),
+    (["predict", "--triangle", "{tri}", "--method", "expected"], "--elr"),
+    (["validate", "--panel", "{panel}", "--methods", "foo"], "--methods"),
+    (["validate", "--panel", "{panel}", "--methods", " , "], "--methods"),
+    (["validate", "--panel", "{panel}", "--years", "0"], "--years"),
+    (["fit", "--triangle", "{tri}", "--years", "0"], "--years"),
+    (["fit", "--triangle", "{tri}", "--years", "ten"], "--years"),
+    (["fit", "--triangle", "{tri}", "--years", "99"], "--years"),
+    (["bayes", "--triangle", "{tri}"], "--out"),
+    (["bayes", "--triangle", "{tri}", "--tail-alpha", "1.0", "--out", "{out}/d.csv"], "--tail-alpha"),
+    (["bayes", "--triangle", "{tri}", "--iterations", "100", "--out", "{out}/d.csv"], "--iterations"),
+    (["predict", "--triangle", "{tri}", "--method", "bayes", "--chains", "0"], "--chains"),
+    (["bayes", "--triangle", "{tri}", "--phi-hyper-cap", "-1", "--out", "{out}/d.csv"],
+     "--phi-hyper-cap"),
+    (["fit", "--triangle", "{tri}", "--out", "{out}/missing/fit.json"], "--out"),
+    (["fit", "--triangle", "{tri}", "--out", "{out}"], "--out"),
+    (["bayes", "--triangle", "{tri}", "--out", "{out}/d.csv",
+      "--predict-out", "{out}/missing/p.csv"], "--predict-out"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag", BAD_ARGUMENTS, ids=lambda x: " ".join(x) if isinstance(x, list) else x
+)
+def test_bad_argument_exits_two_before_any_work(argv, flag, fixture_path, panel_dir, tmp_path,
+                                               monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    for module, name in ((dr.mle, "fit_mle"), (dr.bayes, "run_mcmc"),
+                         (dr.validation, "run_panel"), (dr.benchmarks, "cl_fit")):
+        monkeypatch.setattr(module, name, forbidden)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [a.format(tri=fixture_path, panel=panel_dir, out=out) for a in argv]
+    if "--out" not in argv and argv[0] != "bayes":
+        argv += ["--out", str(out / "result")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    # BayesSpec names its fields, which are the flags with underscores
+    assert flag in err or flag[2:].replace("-", "_") in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("error", [
+    dr.mle.ConvergenceError, dr.bootstrap.BootstrapError, dr.bayes.McmcError,
+    dr.model.SupportError, np.linalg.LinAlgError, FloatingPointError,
+])
+def test_numerical_failure_exits_one(error, fixture_path, monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise error("the fit broke")
+
+    monkeypatch.setattr(dr.mle, "fit_mle", failing)
+    assert run(["fit", "--triangle", fixture_path, "--years", "10"]) == 1
+    assert capsys.readouterr().err == "numerical failure: the fit broke\n"
+
+
+def test_every_exception_class_has_exactly_one_base():
+    found = set()
+    for info in pkgutil.iter_modules(dr.__path__):
+        module = importlib.import_module(f"dirichlet_reserving.{info.name}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if issubclass(cls, BaseException) and cls.__module__ == module.__name__:
+                found.add(cls.__name__)
+                assert issubclass(cls, dr.InputError) != issubclass(cls, dr.NumericalError), cls
+    assert found >= {
+        "InputError", "NumericalError", "UsageError", "TriangleError", "IdentificationError",
+        "ConvergenceError", "BootstrapError", "McmcError", "SupportError",
+    }

@@ -204,6 +204,14 @@ class TestGofTest:
         with pytest.raises(ValueError):
             dr.gof_test(lr10, alpha=1.5)
 
+    def test_nboot_below_one_rejected_before_fitting(self, lr10, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("fit_mle called with n_boot = 0")
+
+        monkeypatch.setattr(dr.mle, "fit_mle", forbidden)
+        with pytest.raises(dr.InputError, match="n_boot"):
+            dr.gof_test(lr10, n_boot=0)
+
     def test_json_dict(self, lr10):
         r = dr.gof_test(lr10, alpha=0.05, n_boot=120, seed=3)
         d = to_json_dict(r)
