@@ -3,8 +3,10 @@
 Concentration estimates on small triangles are inflated, so a plain
 parametric bootstrap re-centers badly. The two-stage run measures the
 inflation on a first pass, scales the generator down, and bootstraps
-again; unpaid cells are then simulated from each replicate's refit,
-anchored at the real paid-to-date ratios.
+again. Each replicate's refit then draws every open year's unpaid sum,
+anchored at the real paid-to-date ratio s_i: by the Dirichlet aggregation
+property it is (phi_i - s_i) times one Beta(a_{k+1} + ... + a_n, b_n)
+variate, with k the year's observed development years.
 """
 
 import numpy as np

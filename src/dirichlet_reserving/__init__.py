@@ -38,6 +38,7 @@ from .model import (
     sample_row,
     tail_factor,
     total_loglik,
+    unpaid_totals,
 )
 from .triangle import (
     LossRatioTriangle,

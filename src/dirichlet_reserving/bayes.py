@@ -5,7 +5,8 @@ on phi_hyper, and flat priors on the development shapes and the tail
 shape. The tail shape support is [1, inf), optionally raised to
 alpha/(1-alpha) times the shape total when an expected-tail-quota lower
 bound alpha is imposed. Flat priors on unbounded parameters are made
-proper for sampling by configurable caps; draws near a cap are flagged.
+proper for sampling by caps (``phi_hyper_cap`` and ``TAIL_SHAPE_CAP_MULT``);
+draws near a cap are flagged.
 
 Sampling is adaptive random-walk Metropolis within Gibbs on transformed
 coordinates (log shapes, log tail-shape excess over its lower bound,
@@ -27,8 +28,15 @@ from math import lgamma
 
 import numpy as np
 
+from . import mle
+from .bootstrap import PredictiveDistribution
 from .errors import InputError, NumericalError
-from .triangle import LossRatioTriangle, RunOffTriangle, most_recent_years, to_loss_ratios
+from .gof import regularized_incomplete_beta
+from .model import unpaid_totals
+from .triangle import LossRatioTriangle
+
+# the tail shape's cap, as a multiple of the development shapes' total
+TAIL_SHAPE_CAP_MULT = 10.0
 
 
 class McmcError(NumericalError):
@@ -39,18 +47,15 @@ class McmcError(NumericalError):
 class BayesSpec:
     """Configuration of one Bayesian run.
 
-    years restricts to the most recent accident years when set.
     tail_alpha, when set, imposes the expected-tail-quota lower bound
     b_n/(a0 + b_n) >= tail_alpha on the support.
     """
 
-    years: int | None = None
     tail_alpha: float | None = None
     iterations: int = 20000
     warmup: int = 5000
     chains: int = 4
     phi_hyper_cap: float = 10.0
-    tail_shape_cap_mult: float = 10.0
 
     def __post_init__(self):
         if self.tail_alpha is not None and not 0.0 <= self.tail_alpha < 1.0:
@@ -168,7 +173,7 @@ def log_posterior(state: BayesState, t: LossRatioTriangle, spec: BayesSpec) -> f
         np.any(a <= 0)
         or not np.isfinite(state.b_n)
         or state.b_n < _support_lower(a0, spec.tail_ratio)
-        or state.b_n > spec.tail_shape_cap_mult * a0
+        or state.b_n > TAIL_SHAPE_CAP_MULT * a0
         or state.phi_hyper <= 0
         or state.phi_hyper > spec.phi_hyper_cap
         or np.any(phi <= data.s)
@@ -196,8 +201,6 @@ def _sample_truncated_beta(alpha, beta, lo, rng, rounds: int = 50):
             return u
         u[bad] = rng.beta(alpha[bad], beta[bad])
         bad = u <= lo
-    from .gof import regularized_incomplete_beta  # deferred: only the fallback needs it
-
     for i in np.nonzero(bad)[0]:
         base = regularized_incomplete_beta(float(lo[i]), float(alpha[i]), float(beta[i]))
         target = base + rng.random() * (1.0 - base)
@@ -227,24 +230,22 @@ def _split_rhat(chains_draws: np.ndarray) -> float:
     return float(np.sqrt(vhat / W))
 
 
-def run_mcmc(t, spec: BayesSpec, seed: int = 0) -> PosteriorSample:
+def run_mcmc(t: LossRatioTriangle, spec: BayesSpec, seed: int = 0) -> PosteriorSample:
     """Sample the posterior with adaptive Metropolis-within-Gibbs chains.
 
-    Accepts a run-off or loss-ratio triangle; the spec's ``years``
-    restriction applies to a run-off triangle before conversion. Raises
-    :class:`McmcError` when a block stops moving entirely or the
+    Raises :class:`InputError`, before any fitting, when ``phi_hyper_cap``
+    does not exceed the largest observed cumulative loss ratio, which every
+    scale must exceed. Raises :class:`McmcError` when a chain's initial
+    scales do not fit under the cap, a block stops moving entirely or the
     split-chain diagnostic exceeds 1.05 for any parameter.
     """
-    if isinstance(t, RunOffTriangle):
-        if spec.years is not None:
-            t = most_recent_years(t, spec.years)
-        t = to_loss_ratios(t)
-    elif spec.years is not None and spec.years != t.m:
-        raise ValueError(f"spec.years={spec.years} but the triangle has {t.m} accident years")
-
-    from . import mle  # deferred to avoid import cycles at module load
-
     data = _Data(t)
+    top = int(np.argmax(data.s))
+    if spec.phi_hyper_cap <= data.s[top]:
+        raise InputError(
+            f"phi_hyper_cap {spec.phi_hyper_cap} does not exceed the largest cumulative "
+            f"loss ratio {data.s[top]:.4f} (accident year {t.years[top]})"
+        )
     m, n = data.m, data.n
     row_k = data.k - 1  # index of each row's last observed development year
     fit = mle.fit_mle(t)
@@ -263,7 +264,7 @@ def run_mcmc(t, spec: BayesSpec, seed: int = 0) -> PosteriorSample:
     n_blocks = n + 3
     window = 50
     accepted = np.zeros((spec.chains, n_blocks))
-    ratio, b_cap, cap = spec.tail_ratio, spec.tail_shape_cap_mult, spec.phi_hyper_cap
+    ratio, b_cap, cap = spec.tail_ratio, TAIL_SHAPE_CAP_MULT, spec.phi_hyper_cap
 
     for chain in range(spec.chains):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chain,)))
@@ -411,7 +412,7 @@ def run_mcmc(t, spec: BayesSpec, seed: int = 0) -> PosteriorSample:
     warn = []
     if np.any(HYP > 0.99 * spec.phi_hyper_cap):
         warn.append("phi_hyper draws within 1% of the configured cap")
-    if np.any(B > 0.99 * spec.tail_shape_cap_mult * A.sum(axis=2)):
+    if np.any(B > 0.99 * TAIL_SHAPE_CAP_MULT * A.sum(axis=2)):
         warn.append("tail shape draws within 1% of the configured cap")
 
     blocks = [f"a_{j + 1}" for j in range(n)] + ["a_scale", "b_n", "tail_scale"]
@@ -422,14 +423,14 @@ def run_mcmc(t, spec: BayesSpec, seed: int = 0) -> PosteriorSample:
 
 
 def posterior_predict(ps: PosteriorSample, t: LossRatioTriangle, seed: int = 0):
-    """Posterior predictive distribution of the unpaid cells.
+    """Posterior predictive distribution of the unpaid sums.
 
-    For every retained draw, allocates each partial accident year's
-    outstanding amount over its future development years and the tail.
-    Returns the same predictive-distribution type as the bootstrap module.
+    For every retained draw, each partial accident year's unpaid sum within
+    the horizon is (phi_i - s_i) times one Beta(sum_{j > k_i} a_j, b_n)
+    variate, by the Dirichlet aggregation property; ``model.unpaid_totals``
+    draws all of them in one beta call. Returns the same
+    predictive-distribution type as the bootstrap module.
     """
-    from .bootstrap import PredictiveDistribution
-
     if ps.n_draws == 0:
         raise ValueError("no posterior draws")
     if ps.a.shape[2] != t.n or ps.phi.shape[2] != t.m:
@@ -440,21 +441,8 @@ def posterior_predict(ps: PosteriorSample, t: LossRatioTriangle, seed: int = 0):
     phi = ps.phi.reshape(n_draws, t.m)
     observed = t.observed_cumulative()
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(9,)))
-
-    ultimate = np.tile(observed, (n_draws, 1))
-    for i in range(t.m):
-        ki = int(t.k[i])
-        if ki == t.n:
-            continue
-        shapes = np.column_stack([a[:, ki:], b])
-        g = rng.gamma(shapes)
-        frac = g[:, :-1] / g.sum(axis=1, keepdims=True)
-        scale = phi[:, i] - observed[i]
-        ultimate[:, i] += (scale[:, None] * frac).sum(axis=1)
-    return PredictiveDistribution(
-        t.years, seed, n_draws, a, phi, ultimate,
-        ultimate - observed[None, :], observed, None, 0,
-    )
+    ultimate = observed + unpaid_totals(a, b, phi, t.k, observed, rng)
+    return PredictiveDistribution(t.years, seed, n_draws, a, phi, ultimate, observed, None, 0)
 
 
 def draws_to_csv(ps: PosteriorSample, path) -> None:

@@ -1,9 +1,11 @@
 """Parametric bootstrap predictive distribution with two-stage bias correction.
 
 Each replicate simulates a dataset with the triangle's observed mask from
-a generating parameter vector, refits the model, and simulates the unpaid
-cells of every partially developed accident year from the refitted
-conditional model anchored at the real observed cumulatives.
+a generating parameter vector, refits the model, and draws the unpaid sum
+of every partially developed accident year from the refitted conditional
+model anchored at the real observed cumulatives. By the Dirichlet
+aggregation property that sum is (phi_i - s_i) times one
+Beta(sum_{j > k_i} a_j, b_n) variate, drawn by ``model.unpaid_totals``.
 
 Concentration estimates of Dirichlet-type models are biased upward on
 small triangles, so the predictive run uses two stages: the first
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import mle
 from .errors import InputError, NumericalError
-from .model import DirichletParams, simulate_masked
+from .model import DirichletParams, simulate_masked, unpaid_totals
 from .triangle import LossRatioTriangle
 
 
@@ -60,10 +62,14 @@ class PredictiveDistribution:
     a_samples: np.ndarray        # (n_sim, n)
     phi_samples: np.ndarray      # (n_sim, m)
     ultimate_samples: np.ndarray  # (n_sim, m)
-    reserve_samples: np.ndarray   # (n_sim, m)
     observed: np.ndarray          # (m,)
     correction: BiasCorrection | None
     failed_refits: int
+
+    @property
+    def reserve_samples(self) -> np.ndarray:
+        """(n_sim, m) excess of each ultimate over the observed cumulative."""
+        return self.ultimate_samples - self.observed
 
 
 def bootstrap_once(
@@ -125,36 +131,15 @@ def refit_replicates(theta_gen, k, seed, stage, count, observed=None, error=Boot
         yield a, phi, sims, rngs, int(failures.sum())
 
 
-def _unpaid_totals(a, phi, k, observed, rngs):
-    """Per replicate and accident year, the sum of the unpaid cells drawn
-    from the refitted conditional model: each replicate's generator makes
-    one gamma call on its partial rows' shape vectors, concatenated."""
-    R, n = a.shape
-    rows = np.flatnonzero(k < n)
-    unpaid = np.zeros((R, phi.shape[1], n))
-    if rows.size == 0:
-        return unpaid.sum(axis=2)
-    # column n of the padded shapes is the tail shape b_n = 1
-    cols = np.concatenate([np.arange(k[i], n + 1) for i in rows])
-    shapes = np.append(a, np.ones((R, 1)), axis=1)[:, cols]
-    g = np.stack([rng.gamma(row) for rng, row in zip(rngs, shapes)])
-    start = 0
-    for i in rows:
-        seg = g[:, start : start + n - k[i] + 1]
-        start += seg.shape[1]
-        unpaid[:, i, k[i]:] = (phi[:, i] - observed[i])[:, None] * seg[:, :-1] / seg.sum(axis=1)[:, None]
-    return unpaid.sum(axis=2)
-
-
 def _run_stage(theta_gen, t, n_sim, seed, stage, observed=None):
     """Refit one stage's replicates; with ``observed`` (stage 2), check
-    their support and draw their unpaid cells."""
+    their support and draw their unpaid sums."""
     a, phi, future, failures = [], [], [], 0
     for a_c, phi_c, _, rngs, fails in refit_replicates(theta_gen, t.k, seed, stage, n_sim, observed):
         a.append(a_c)
         phi.append(phi_c)
         if observed is not None:
-            future.append(_unpaid_totals(a_c, phi_c, t.k, observed, rngs))
+            future.append(unpaid_totals(a_c, 1.0, phi_c, t.k, observed, rngs))
         failures += fails
     future = np.concatenate(future) if observed is not None else None
     return np.concatenate(a), np.concatenate(phi), future, failures
@@ -184,10 +169,8 @@ def bias_corrected_bootstrap(
     )
     a2, phi2, future, fail2 = _run_stage(theta_mod, t, n_sim, seed, 2, observed)
 
-    ultimate = np.tile(observed, (n_sim, 1)) + future
-    reserve = ultimate - observed[None, :]
     return PredictiveDistribution(
-        t.years, seed, n_sim, a2, phi2, ultimate, reserve, observed,
+        t.years, seed, n_sim, a2, phi2, observed + future, observed,
         BiasCorrection(theta_avg, theta_mod), fail1 + fail2,
     )
 
@@ -216,11 +199,12 @@ def summarize(pd: PredictiveDistribution, level: float = 0.95):
 
 def samples_to_csv(pd: PredictiveDistribution, path) -> None:
     """Write the replicate-level ultimates in long CSV form."""
+    reserve = pd.reserve_samples
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("replicate,accident_year,ultimate_ratio,reserve_ratio\n")
         for s in range(pd.n_sim):
             for i, year in enumerate(pd.years):
                 fh.write(
                     f"{s},{year},{float(pd.ultimate_samples[s, i])!r},"
-                    f"{float(pd.reserve_samples[s, i])!r}\n"
+                    f"{float(reserve[s, i])!r}\n"
                 )

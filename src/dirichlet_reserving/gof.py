@@ -7,8 +7,9 @@ uniform. A Kolmogorov-Smirnov statistic on those values is compared
 against its bootstrap null distribution (simulate from the fit, refit,
 retransform), with a two-sided decision region.
 
-Cells in the last development year of rows whose profiled scale equals
-the observed ultimate are excluded, since their transform is degenerate.
+The last development year's cell of accident years i <= m - n (1-based)
+is excluded, its transform being degenerate at 1. A staircase has m - n + 1
+fully developed rows, so the newest of them keeps its last cell.
 """
 
 from __future__ import annotations

@@ -34,6 +34,12 @@ class ConvergenceError(NumericalError):
     """Newton-Raphson failed to converge within the iteration budget."""
 
 
+# Newton's iteration budget and stopping tolerances, shared by every fit
+_MAX_ITERATIONS = 200
+_STEP_TOL = 1e-8
+_GRAD_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class FitResult:
     """MLE output: parameter estimates and convergence diagnostics."""
@@ -174,12 +180,12 @@ def _solve(H: np.ndarray, b: np.ndarray) -> np.ndarray:
         return out
 
 
-def _newton(stats: _Stats, a_start: np.ndarray, max_iterations: int, step_tol: float, grad_tol: float):
+def _newton(stats: _Stats, a_start: np.ndarray):
     """Profiled Newton-Raphson on all of ``stats``' datasets in lockstep.
 
     Works on log shapes. Each dataset keeps its own gradient test, Newton
     step (the gradient direction when the Hessian gives no ascent),
-    backtracking factor over at most 31 halvings, ``step_tol`` test and
+    backtracking factor over at most 31 halvings, ``_STEP_TOL`` test and
     convergence flag; finished datasets drop out of the batch. A dataset
     also converges, whether or not its line search then finds an increase,
     when the predicted gain of its Newton step, half the Newton decrement
@@ -199,14 +205,14 @@ def _newton(stats: _Stats, a_start: np.ndarray, max_iterations: int, step_tol: f
     converged = np.zeros(R, dtype=bool)
     active = np.ones(R, dtype=bool)
     diag = np.arange(n)
-    for it in range(1, max_iterations + 1):
+    for it in range(1, _MAX_ITERATIONS + 1):
         act = np.flatnonzero(active)
         if act.size == 0:
             break
         iterations[act] = it
         a = np.exp(x[act])
         g = stats.grad(a, act)
-        small = np.max(np.abs(g), axis=1) < grad_tol
+        small = np.max(np.abs(g), axis=1) < _GRAD_TOL
         converged[act[small]] = True
         active[act[small]] = False
         act, a, g = act[~small], a[~small], g[~small]
@@ -243,12 +249,12 @@ def _newton(stats: _Stats, a_start: np.ndarray, max_iterations: int, step_tol: f
         rel = np.zeros(act.size)
         rel[accepted] = np.max(np.abs(np.exp(xn[accepted]) - a[accepted]) / a[accepted], axis=1)
         x[act[accepted]], ll[act[accepted]] = xn[accepted], lln[accepted]
-        done = flat | (accepted & (rel < step_tol))
+        done = flat | (accepted & (rel < _STEP_TOL))
         converged[act[done]] = True
         active[act[done | ~accepted]] = False
     a = np.exp(x)
     gnorm = np.max(np.abs(stats.grad(a)), axis=1)
-    converged |= gnorm < grad_tol
+    converged |= gnorm < _GRAD_TOL
     return a, ll, int(iterations.sum()), gnorm, converged
 
 
@@ -261,7 +267,7 @@ def _fit_batch(ratios: np.ndarray, k: np.ndarray):
     """
     k = np.asarray(k)
     stats = _Stats(ratios, k)
-    a, _, _, _, converged = _newton(stats, _starting_values(ratios, k, stats), 200, 1e-8, 1e-6)
+    a, _, _, _, converged = _newton(stats, _starting_values(ratios, k, stats))
     phi = (a.sum(axis=1)[:, None] / np.take(np.cumsum(a, axis=1), k - 1, axis=1)) * stats.s
     return a, phi, converged
 
@@ -292,12 +298,7 @@ def profile_phi(a: np.ndarray, b_n: float, t: LossRatioTriangle) -> np.ndarray:
     return (c[-1] + b_n - 1.0) / c[t.k - 1] * s
 
 
-def fit_mle(
-    t: LossRatioTriangle,
-    max_iterations: int = 200,
-    step_tol: float = 1e-8,
-    grad_tol: float = 1e-6,
-) -> FitResult:
+def fit_mle(t: LossRatioTriangle) -> FitResult:
     """Fit the reserving model by profiled Newton-Raphson.
 
     Raises
@@ -312,9 +313,7 @@ def fit_mle(
     ratios = np.nan_to_num(t.ratios, nan=0.0)[None]
     stats = _Stats(ratios, t.k)
     a_start = _starting_values(ratios, t.k, stats)
-    a, ll, iterations, gnorm, converged = _newton(
-        stats, a_start, max_iterations, step_tol, grad_tol
-    )
+    a, ll, iterations, gnorm, converged = _newton(stats, a_start)
     a, gnorm = a[0], float(gnorm[0])
     if not converged[0]:
         raise ConvergenceError(

@@ -259,3 +259,29 @@ def sample_future_row(
     g = rng.gamma(shapes)
     frac = g[:-1] / g.sum()
     return (phi - s) * frac
+
+
+def unpaid_totals(a, b_n, phi, k, observed, rng) -> np.ndarray:
+    """Draw every accident year's unpaid sum within the horizon, given its
+    observed prefix, for R parameter draws: ``a`` (R, n), ``b_n`` scalar or
+    (R,), ``phi`` (R, m), prefix lengths ``k`` and cumulatives ``observed``.
+
+    By the aggregation property, :func:`sample_future_row`'s cells sum to
+    (phi_i - s_i) times one Beta(sum_{j > k_i} a_j, b_n) variate, so each
+    partial row costs one beta draw; fully developed rows get exactly 0.
+    ``rng`` is one generator, which draws the whole (R, partial rows)
+    matrix in one call, or R generators, each drawing its own draw's row.
+    """
+    rows = np.flatnonzero(np.asarray(k) < a.shape[1])
+    excess = phi[:, rows] - observed[rows]
+    if not (excess > 0.0).all():
+        raise SupportError("a scale does not exceed its row's observed cumulative")
+    alpha = np.cumsum(a[:, ::-1], axis=1)[:, ::-1][:, np.asarray(k)[rows]]
+    beta = np.broadcast_to(np.reshape(b_n, (-1, 1)), alpha.shape)
+    if isinstance(rng, np.random.Generator):
+        frac = rng.beta(alpha, beta)
+    else:
+        frac = np.stack([g.beta(al, be) for g, al, be in zip(rng, alpha, beta)])
+    out = np.zeros(phi.shape)
+    out[:, rows] = excess * frac
+    return out

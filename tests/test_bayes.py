@@ -208,19 +208,22 @@ class TestRunMcmc:
         assert max(ps.rhat.values()) <= 1.05
         assert set(ps.acceptance) >= {"a_1", "a_scale", "b_n", "tail_scale"}
 
-    def test_years_restriction(self, triangle18):
-        spec = small_spec(years=10, iterations=800, warmup=300, chains=1)
-        ps = dr.run_mcmc(triangle18, spec, seed=14)
-        assert ps.phi.shape[2] == 10
-        assert ps.years == tuple(range(1997, 2007))
+    def test_cap_too_low(self, lr10, monkeypatch):
+        # the cap is checked against the data's largest cumulative loss
+        # ratio before any fitting
+        def forbidden(*args, **kwargs):
+            raise AssertionError("fit_mle called with a cap below the data")
 
-    def test_years_mismatch_rejected(self, lr18):
-        with pytest.raises(ValueError):
-            dr.run_mcmc(lr18, small_spec(years=10), seed=0)
-
-    def test_cap_too_low(self, lr10):
-        with pytest.raises(McmcError):
+        monkeypatch.setattr(dr.mle, "fit_mle", forbidden)
+        with pytest.raises(dr.InputError, match=r"phi_hyper_cap 0\.5 .* 0\.7391 \(accident year 1999\)"):
             dr.run_mcmc(lr10, small_spec(phi_hyper_cap=0.5), seed=0)
+
+    def test_cap_too_close_for_initial_scales(self, lr10):
+        # a cap just above the data passes the input check, but no initial
+        # hyper scale fits between a chain's starting scales and the cap
+        cap = 1.0001 * float(lr10.observed_cumulative().max())
+        with pytest.raises(McmcError, match="too low"):
+            dr.run_mcmc(lr10, small_spec(phi_hyper_cap=cap), seed=0)
 
     def test_ridge_exploration_flags_caps(self, lr18):
         # the flat-prior ridge runs into the configured caps and the run
@@ -307,12 +310,11 @@ class TestPosteriorPredict:
     def test_more_history_narrows_intervals(self, triangle18):
         # reference pattern: the 18-year hierarchical intervals narrower
         # than the 10-year ones for at least 7 of the last 10 years
-        spec10 = small_spec(years=10, iterations=6000, warmup=2000, phi_hyper_cap=10.0)
-        spec18 = small_spec(iterations=6000, warmup=2000, phi_hyper_cap=10.0)
-        ps10 = dr.run_mcmc(triangle18, spec10, seed=18)
-        ps18 = dr.run_mcmc(triangle18, spec18, seed=18)
+        spec = small_spec(iterations=6000, warmup=2000, phi_hyper_cap=10.0)
         lr10 = dr.to_loss_ratios(dr.most_recent_years(triangle18, 10))
         lr18 = dr.to_loss_ratios(triangle18)
+        ps10 = dr.run_mcmc(lr10, spec, seed=18)
+        ps18 = dr.run_mcmc(lr18, spec, seed=18)
         w10 = [r["hi"] - r["lo"] for r in dr.summarize(dr.posterior_predict(ps10, lr10, 18), 0.95)]
         w18 = [r["hi"] - r["lo"] for r in dr.summarize(dr.posterior_predict(ps18, lr18, 18), 0.95)[-10:]]
         narrower = sum(1 for a, b in zip(w18, w10) if a < b)

@@ -148,20 +148,6 @@ class TestReplicateEngine:
             np.testing.assert_array_equal(refit.phi, phi[idx])
         assert retries == failures
 
-    def test_unpaid_totals_match_per_row_draws(self, lr18, fit18):
-        # reference: one gamma call per partial row into a zero-filled
-        # (m, n) buffer, summed per row
-        k, n, observed = lr18.k, lr18.n, lr18.observed_cumulative()
-        ((a, phi, _, _, _),) = bootstrap.refit_replicates(fit18.theta_hat, k, 3, 2, 20)
-        got = bootstrap._unpaid_totals(a, phi, k, observed, [np.random.default_rng(r) for r in range(20)])
-        for r in range(20):
-            rng = np.random.default_rng(r)
-            unpaid = np.zeros((lr18.m, n))
-            for i in np.flatnonzero(k < n):
-                g = rng.gamma(np.append(a[r, k[i]:], 1.0))
-                unpaid[i, k[i]:] = (phi[r, i] - observed[i]) * g[:-1] / g.sum()
-            np.testing.assert_array_equal(got[r], unpaid.sum(axis=1))
-
     def test_retried_replicates_are_seed_deterministic(self, lr18, fit18):
         a = dr.bias_corrected_bootstrap(fit18.theta_hat, lr18, n_sim=100, seed=0)
         b = dr.bias_corrected_bootstrap(fit18.theta_hat, lr18, n_sim=100, seed=0)
@@ -199,8 +185,7 @@ class TestSummarize:
         assert float(np.full(1000, x).mean()) < x
         pd = dr.PredictiveDistribution(
             (1997,), 0, 1000, np.ones((1000, 1)), np.ones((1000, 1)),
-            np.full((1000, 1), x),
-            np.zeros((1000, 1)), np.array([x]), None, 0,
+            np.full((1000, 1), x), np.array([x]), None, 0,
         )
         (rec,) = summarize(pd, 0.95)
         assert rec["lo"] == rec["point"] == rec["hi"] == x

@@ -284,6 +284,20 @@ def test_bad_argument_exits_two_before_any_work(argv, flag, fixture_path, panel_
     assert list(out.iterdir()) == []
 
 
+def test_cap_below_the_data_exits_two(fixture_path, tmp_path, monkeypatch, capsys):
+    # the cap is checked against the loaded triangle, before any fitting
+    def forbidden(*args, **kwargs):
+        raise AssertionError("fit started with a cap below the data")
+
+    monkeypatch.setattr(dr.mle, "fit_mle", forbidden)
+    out = tmp_path / "d.csv"
+    assert run(["bayes", "--triangle", fixture_path, "--phi-hyper-cap", "0.5", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: phi_hyper_cap 0.5 ")
+    assert "0.8437 (accident year 1990)" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("error", [
     dr.mle.ConvergenceError, dr.bootstrap.BootstrapError, dr.bayes.McmcError,
     dr.model.SupportError, np.linalg.LinAlgError, FloatingPointError,

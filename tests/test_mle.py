@@ -172,9 +172,12 @@ class TestFit:
         with pytest.raises(IdentificationError):
             dr.fit_mle(dr.to_loss_ratios(t))
 
-    def test_convergence_error(self, lr10):
+    def test_convergence_error(self, lr10, monkeypatch):
+        monkeypatch.setattr(mle, "_MAX_ITERATIONS", 1)
+        monkeypatch.setattr(mle, "_STEP_TOL", 1e-16)
+        monkeypatch.setattr(mle, "_GRAD_TOL", 1e-16)
         with pytest.raises(ConvergenceError):
-            dr.fit_mle(lr10, max_iterations=1, step_tol=1e-16, grad_tol=1e-16)
+            dr.fit_mle(lr10)
 
     def test_roundoff_floor_stops_at_optimum(self, triangle18, lr18):
         # an 18x10 insurer drawn from the 18-year reference shapes whose

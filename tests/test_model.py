@@ -346,6 +346,54 @@ class TestSampleFutureRow:
             dr.sample_future_row(p, t, 2, np.random.default_rng(0))
 
 
+class TestUnpaidTotals:
+    """``unpaid_totals`` draws each partial row's unpaid sum as one Beta
+    variate; per row, its draws and the sums of ``sample_future_row``'s
+    cells under the same parameters must be two samples of one law."""
+
+    @staticmethod
+    def assert_same_law(got, t, params_of, rng):
+        stats = pytest.importorskip("scipy.stats")
+        R = got.shape[0]
+        for i in np.flatnonzero(t.k < t.n):
+            want = np.array([dr.sample_future_row(params_of(r), t, i + 1, rng).sum() for r in range(R)])
+            x = got[:, i]
+            assert stats.ks_2samp(x, want).pvalue > 1e-3, i
+            se = math.sqrt((x.var(ddof=1) + want.var(ddof=1)) / R)
+            assert abs(x.mean() - want.mean()) < 4 * se, i
+            assert abs(x.var(ddof=1) / want.var(ddof=1) - 1.0) < 0.1, i
+
+    def test_per_replicate_generators_tail_shape_one(self, lr10, fit10):
+        # the bootstrap's call: b_n = 1 and one generator per replicate
+        theta, R = fit10.theta_hat, 10000
+        a, phi = np.tile(theta.a, (R, 1)), np.tile(theta.phi, (R, 1))
+        rngs = [np.random.default_rng(np.random.SeedSequence(21, spawn_key=(r,))) for r in range(R)]
+        got = dr.unpaid_totals(a, 1.0, phi, lr10.k, lr10.observed_cumulative(), rngs)
+        assert got.shape == (R, lr10.m)
+        assert np.all(got[:, lr10.k == lr10.n] == 0.0)
+        self.assert_same_law(got, lr10, lambda r: theta, np.random.default_rng(22))
+
+    def test_one_generator_per_draw_tail_shape(self):
+        # the posterior predictive's call: every draw its own shapes, tail
+        # shape above 1 and scales, all drawn by one generator
+        t = make_lr([[0.3, 0.2, 0.1, 0.05], [0.25, 0.2, 0.1], [0.3, 0.15], [0.2]])
+        rng, R = np.random.default_rng(23), 10000
+        a = np.array([6.0, 4.0, 2.5, 1.5]) * np.exp(0.2 * rng.standard_normal((R, 4)))
+        b = rng.uniform(1.5, 4.0, size=R)
+        s = t.observed_cumulative()
+        phi = s * rng.uniform(1.2, 1.8, size=(R, t.m))
+        got = dr.unpaid_totals(a, b, phi, t.k, s, np.random.default_rng(24))
+        assert np.all(got[:, 0] == 0.0)
+        assert np.all(got[:, 1:] > 0.0)
+        self.assert_same_law(got, t, lambda r: dr.DirichletParams(a[r], b[r], phi[r]), np.random.default_rng(25))
+
+    def test_support_error(self):
+        t = make_lr([[0.4, 0.4], [0.5]])
+        with pytest.raises(SupportError):
+            dr.unpaid_totals(np.ones((1, 2)), 1.0, np.array([[1.0, 0.3]]), t.k, t.observed_cumulative(),
+                             np.random.default_rng(0))
+
+
 class TestTailFactor:
     def test_reference_value(self):
         p = dr.DirichletParams(REF_A_10, 1.0, np.full(10, 0.7))
