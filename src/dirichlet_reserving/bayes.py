@@ -8,10 +8,10 @@ bound alpha is imposed. Flat priors on unbounded parameters are made
 proper for sampling by caps (``phi_hyper_cap`` and ``TAIL_SHAPE_CAP_MULT``);
 draws near a cap are flagged.
 
-Sampling is adaptive random-walk Metropolis within Gibbs on transformed
-coordinates (log shapes, log tail-shape excess over its lower bound,
-logit scales within their support interval, log hyper scale), with
-per-block step adaptation during warmup only.
+Sampling is Metropolis within Gibbs: random-walk blocks on log shapes and
+the log tail-shape excess over its lower bound, with step adaptation in
+warmup only; each scale is an exact draw of a Beta truncated above
+s_i/phi_hyper, whose fallback inverts ``special.regularized_incomplete_beta``.
 
 Every block evaluates one total log-likelihood, grouped by observed prefix
 length (see ``_Data``): the scales enter it only through two sums per
@@ -31,8 +31,8 @@ import numpy as np
 from . import mle
 from .bootstrap import PredictiveDistribution
 from .errors import InputError, NumericalError
-from .gof import regularized_incomplete_beta
 from .model import unpaid_totals
+from .special import regularized_incomplete_beta
 from .triangle import LossRatioTriangle
 
 # the tail shape's cap, as a multiple of the development shapes' total
@@ -184,36 +184,34 @@ def log_posterior(state: BayesState, t: LossRatioTriangle, spec: BayesSpec) -> f
     return ll - t.m * np.log(float(state.phi_hyper))
 
 
-def _sample_truncated_beta(alpha, beta, lo, rng, rounds: int = 50):
+def _sample_truncated_beta(alpha, beta, lo, rng):
     """Vector of Beta(alpha_i, beta_i) draws conditioned on u_i > lo_i.
 
     Plain rejection covers the common case where the truncation point sits
-    below the Beta bulk; stubborn components fall back to inverse-CDF
-    sampling by bisection on the regularized incomplete beta.
+    below the Beta bulk; components still rejected after 50 redraws fall
+    back to inverse-CDF sampling, bisecting in lockstep to 1e-14 brackets.
     """
-    alpha = np.asarray(alpha, dtype=float)
     if (alpha <= 0.0).any():
         raise McmcError("degenerate scale conditional: a shape prefix sum fell below 1")
     u = rng.beta(alpha, beta)
     bad = u <= lo
-    for _ in range(rounds):
+    for _ in range(50):
         if not bad.any():
             return u
         u[bad] = rng.beta(alpha[bad], beta[bad])
         bad = u <= lo
-    for i in np.nonzero(bad)[0]:
-        base = regularized_incomplete_beta(float(lo[i]), float(alpha[i]), float(beta[i]))
-        target = base + rng.random() * (1.0 - base)
-        a_lo, a_hi = float(lo[i]), 1.0
-        for _ in range(200):
-            mid = 0.5 * (a_lo + a_hi)
-            if regularized_incomplete_beta(mid, float(alpha[i]), float(beta[i])) < target:
-                a_lo = mid
-            else:
-                a_hi = mid
-            if a_hi - a_lo < 1e-14:
-                break
-        u[i] = 0.5 * (a_lo + a_hi)
+    a_bad, b_bad, left = alpha[bad], beta[bad], lo[bad]
+    right = np.ones(left.size)
+    base = regularized_incomplete_beta(left, a_bad, b_bad)
+    target = base + rng.random(left.size) * (1.0 - base)
+    live = np.arange(left.size)
+    while live.size:
+        mid = 0.5 * (left[live] + right[live])
+        below = regularized_incomplete_beta(mid, a_bad[live], b_bad[live]) < target[live]
+        left[live[below]] = mid[below]
+        right[live[~below]] = mid[~below]
+        live = live[right[live] - left[live] >= 1e-14]
+    u[bad] = 0.5 * (left + right)
     return u
 
 
@@ -235,9 +233,8 @@ def run_mcmc(t: LossRatioTriangle, spec: BayesSpec, seed: int = 0) -> PosteriorS
 
     Raises :class:`InputError`, before any fitting, when ``phi_hyper_cap``
     does not exceed the largest observed cumulative loss ratio, which every
-    scale must exceed. Raises :class:`McmcError` when a chain's initial
-    scales do not fit under the cap, a block stops moving entirely or the
-    split-chain diagnostic exceeds 1.05 for any parameter.
+    scale must exceed. Raises :class:`McmcError` when a block stops moving
+    entirely or the split-chain diagnostic exceeds 1.05 for any parameter.
     """
     data = _Data(t)
     top = int(np.argmax(data.s))
@@ -277,7 +274,9 @@ def run_mcmc(t: LossRatioTriangle, spec: BayesSpec, seed: int = 0) -> PosteriorS
         phi = data.s + (phi_prof - data.s) * np.exp(0.1 * rng.standard_normal(m))
         hyp = min(cap * 0.999, float(phi.max()) * 1.25)
         if hyp <= phi.max():
-            raise McmcError("phi_hyper_cap is too low for the data's loss ratios")
+            # no room above the drawn scales: start midway from the data to the cap
+            hyp = 0.5 * (float(data.s.max()) + cap)
+            phi = np.minimum(phi, 0.5 * (data.s + hyp))
 
         sums = data.phi_sums(phi)
         ll = data.loglik(a, b, sums)
@@ -360,7 +359,7 @@ def run_mcmc(t: LossRatioTriangle, spec: BayesSpec, seed: int = 0) -> PosteriorS
                     acc[jt] += 1
             # per-year scales: the conditional of u_i = s_i / phi_i is a
             # Beta(c_k - 1, a0 + b - c_k) truncated to u_i > s_i / hyper,
-            # drawn exactly (rejection with a bisected inverse-CDF fallback)
+            # drawn exactly (rejection with a lockstep inverse-CDF fallback)
             close = a0 + b - ck
             lo_u = data.s / hyp
             u = _sample_truncated_beta(ck - 1.0, close, lo_u, rng)

@@ -4,8 +4,8 @@ Sequential probability integral transforms: under the model, each
 observed cell divided by the remaining scale of its row follows a Beta
 distribution, so the fitted Beta CDF values over the triangle are iid
 uniform. A Kolmogorov-Smirnov statistic on those values is compared
-against its bootstrap null distribution (simulate from the fit, refit,
-retransform), with a two-sided decision region.
+against its bootstrap null distribution (simulate from the fit, refit and
+retransform, one (R, m, n) stack per chunk), with a two-sided decision region.
 
 The last development year's cell of accident years i <= m - n (1-based)
 is excluded, its transform being degenerate at 1. A staircase has m - n + 1
@@ -14,7 +14,6 @@ fully developed rows, so the newest of them keeps its last cell.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,7 @@ from . import mle
 from .bootstrap import refit_replicates
 from .errors import InputError
 from .model import DirichletParams, SupportError
+from .special import regularized_incomplete_beta
 from .triangle import LossRatioTriangle
 
 
@@ -40,98 +40,46 @@ class GofResult:
     n_cells: int
 
 
-def _beta_continued_fraction(a: float, b: float, x: float) -> float:
-    """Modified Lentz evaluation of the incomplete-beta continued fraction."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 400):
-        m2 = 2 * m
-        coef = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + coef * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + coef / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        coef = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + coef * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + coef / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            break
-    return h
-
-
-def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
-    """Continued-fraction evaluation of the regularized incomplete beta
-    function I_x(a, b)."""
-    if a <= 0 or b <= 0:
-        raise ValueError("shape parameters must be positive")
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    front = math.exp(
-        a * math.log(x) + b * math.log1p(-x)
-        - (math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
-    )
-    # evaluate on whichever side keeps the continued fraction fast-converging
-    if x < (a + 1.0) / (a + b + 2.0):
-        val = front * _beta_continued_fraction(a, b, x) / a
-    else:
-        val = 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
-    return float(min(1.0, max(0.0, val)))
+def _pit(a, b, phi, ratios, k, years) -> np.ndarray:
+    """Fitted Beta CDF values (R, N) of R datasets sharing the observed
+    mask ``k``: shapes ``a`` (R, n), tail shape ``b``, scales ``phi``
+    (R, m), ratios (R, m, n). A cell's remaining scale is phi minus its
+    row's cumulative before it; its shapes are a_j and a0 - c_j + b."""
+    m, n = ratios.shape[1:]
+    mask = np.arange(n) < np.asarray(k)[:, None]
+    y = np.where(mask, ratios, 0.0)
+    remaining = phi[:, :, None] - (np.cumsum(y, axis=2) - y)
+    bad = mask & ((remaining <= 0.0) | (y > remaining * (1.0 + 1e-9)))
+    if bad.any():
+        _, i, j = np.argwhere(bad)[0]
+        raise SupportError(
+            f"cell ratio outside the model support at accident year "
+            f"{years[i]}, development year {j + 1}"
+        )
+    # the last cell of the first m - n rows is degenerate at 1
+    included = mask.copy()
+    included[: max(m - n, 0), n - 1] = False
+    x = np.minimum(1.0, np.divide(y, remaining, out=np.zeros(y.shape), where=included))
+    tail = a.sum(axis=1, keepdims=True) - np.cumsum(a, axis=1) + b
+    return regularized_incomplete_beta(x, a[:, None, :], tail[:, None, :])[:, included]
 
 
 def pit_transform(params: DirichletParams, t: LossRatioTriangle) -> np.ndarray:
     """Fitted Beta CDF values of the sequential cell ratios over the
     included index set, row by row then by development year."""
-    a, b = params.a, params.b_n
-    a0 = params.a0
-    m, n = t.m, t.n
-    out = []
-    for i in range(m):
-        ki = int(t.k[i])
-        remaining = float(params.phi[i])
-        for j in range(ki):
-            y = float(t.ratios[i, j])
-            if remaining <= 0.0 or y > remaining * (1.0 + 1e-9):
-                raise SupportError(
-                    f"cell ratio outside the model support at accident year "
-                    f"{t.years[i]}, development year {j + 1}"
-                )
-            if not (j == n - 1 and i + 1 <= m - n):
-                ratio = min(1.0, y / remaining)
-                tail_shape = a0 - a[: j + 1].sum() + b
-                out.append(
-                    regularized_incomplete_beta(ratio, float(a[j]), float(tail_shape))
-                )
-            remaining -= y
-    return np.array(out)
+    return _pit(params.a[None], params.b_n, params.phi[None], t.ratios[None], t.k, t.years)[0]
 
 
-def ks_statistic(u) -> float:
-    """Sup distance between the empirical CDF of ``u`` and uniform(0, 1)."""
-    u = np.sort(np.asarray(u, dtype=float))
-    if u.size == 0:
+def ks_statistic(u):
+    """Sup distance between the empirical CDF of ``u`` and uniform(0, 1),
+    along the last axis; a float for a 1-d sample."""
+    u = np.sort(np.asarray(u, dtype=float), axis=-1)
+    N = u.shape[-1]
+    if N == 0:
         raise ValueError("empty sample")
-    N = u.size
     grid = np.arange(1, N + 1) / N
-    return float(max(np.max(grid - u), np.max(u - (grid - 1.0 / N))))
+    d = np.maximum(np.max(grid - u, axis=-1), np.max(u - (grid - 1.0 / N), axis=-1))
+    return float(d) if d.ndim == 0 else d
 
 
 def gof_test(
@@ -148,9 +96,9 @@ def gof_test(
     statistic falls outside the central 1 - alpha region of the null.
     Null replicate ``idx`` draws from its own stream derived from
     (seed, idx); the refits run in the bootstrap's lockstep batches
-    (:func:`bootstrap.refit_replicates`), so the chunk size changes no
-    statistic. More than 10 failed refits of one replicate raise
-    ``ConvergenceError``.
+    (:func:`bootstrap.refit_replicates`) and each chunk is transformed as
+    one stack, so the chunk size changes no statistic. More than 10 failed
+    refits of one replicate raise ``ConvergenceError``.
     """
     if not 0.0 < alpha < 1.0:
         raise InputError("significance level must be inside (0, 1)")
@@ -160,14 +108,10 @@ def gof_test(
     u_obs = pit_transform(fit.theta_hat, t)
     t_obs = ks_statistic(u_obs)
 
-    mask = np.arange(t.n) < t.k[:, None]
-    null = []
     batches = refit_replicates(fit.theta_hat, t.k, seed, 3, n_boot, error=mle.ConvergenceError)
-    for a, phi, sims, _, _ in batches:
-        for a_r, phi_r, sim in zip(a, phi, sims):
-            sim_t = LossRatioTriangle(t.years, t.premiums, np.where(mask, sim, np.nan))
-            null.append(ks_statistic(pit_transform(DirichletParams(a_r, 1.0, phi_r), sim_t)))
-    null = np.array(null)
+    null = np.concatenate([
+        ks_statistic(_pit(a, 1.0, phi, sims, t.k, t.years)) for a, phi, sims, _, _ in batches
+    ])
     lower = float(np.quantile(null, alpha / 2.0))
     upper = float(np.quantile(null, 1.0 - alpha / 2.0))
     reject = bool(t_obs < lower or t_obs > upper)

@@ -1,9 +1,11 @@
-"""Scalar special functions used by the reserving likelihood.
-
-Log-gamma, digamma and trigamma on positive real arguments, implemented
-by upward recurrence to a shift threshold followed by the Bernoulli
-asymptotic expansion. Works elementwise on numpy arrays.
+"""Special functions of the reserving model, elementwise on numpy arrays:
+log-gamma, digamma and trigamma on positive real arguments, by upward
+recurrence to a shift threshold and the Bernoulli asymptotic expansion,
+and the regularized incomplete beta, by a modified-Lentz continued
+fraction (Press et al., *Numerical Recipes* 3rd ed., section 6.4).
 """
+
+import math
 
 import numpy as np
 
@@ -105,4 +107,56 @@ def trigamma(x):
     out = inv + 0.5 * inv2 + tail * inv
     for low, vals in reversed(steps):
         out[low] += 1.0 / (vals * vals)
+    return float(out[0]) if scalar else out
+
+
+def _floor(v, tiny=1e-300):
+    return np.where(np.abs(v) < tiny, tiny, v)
+
+
+def _beta_fraction(a, b, x):
+    """Modified Lentz continued fraction of the incomplete beta on 1-d
+    arrays. An element leaves the working set once its own step converges,
+    so its value does not depend on the other elements."""
+    out = np.empty(x.shape)
+    idx = np.arange(x.size)
+    c = np.ones(x.shape)
+    d = 1.0 / _floor(1.0 - (a + b) * x / (a + 1.0))
+    h = d
+    for m in range(1, 400):
+        m2 = 2 * m
+        even = m * (b - m) * x / ((a - 1.0 + m2) * (a + m2))
+        odd = -(a + m) * (a + b + m) * x / ((a + m2) * (a + 1.0 + m2))
+        for coef in (even, odd):
+            d = 1.0 / _floor(1.0 + coef * d)
+            c = _floor(1.0 + coef / c)
+            h = h * (d * c)
+        live = np.abs(d * c - 1.0) >= 1e-15
+        out[idx[~live]] = h[~live]
+        idx, a, b, x, c, d, h = (v[live] for v in (idx, a, b, x, c, d, h))
+        if not idx.size:
+            return out
+    out[idx] = h
+    return out
+
+
+def regularized_incomplete_beta(x, a, b):
+    """Regularized incomplete beta I_x(a, b) on broadcast arguments: 0 at
+    x <= 0, 1 at x >= 1, clipped into [0, 1]. The log-beta factor is taken
+    before broadcasting, so shapes shared along an axis cost one triple."""
+    scalar = all(np.ndim(v) == 0 for v in (x, a, b))
+    a, _ = _prepare(a, "regularized_incomplete_beta")
+    b, _ = _prepare(b, "regularized_incomplete_beta")
+    lgamma = np.frompyfunc(math.lgamma, 1, 1)  # on a few values far cheaper than log_gamma
+    log_beta = (lgamma(a) + lgamma(b) - lgamma(a + b)).astype(float)
+    x, a, b, log_beta = np.broadcast_arrays(np.asarray(x, dtype=float), a, b, log_beta)
+    out = np.where(x >= 1.0, 1.0, 0.0)
+    inner = (x > 0.0) & (x < 1.0)
+    x, a, b = x[inner], a[inner], b[inner]
+    front = np.exp(a * np.log(x) + b * np.log1p(-x) - log_beta[inner])
+    # evaluate on whichever side keeps the continued fraction fast-converging
+    low = x < (a + 1.0) / (a + b + 2.0)
+    p = np.where(low, a, b)
+    val = front * _beta_fraction(p, np.where(low, b, a), np.where(low, x, 1.0 - x)) / p
+    out[inner] = np.clip(np.where(low, val, 1.0 - val), 0.0, 1.0)
     return float(out[0]) if scalar else out

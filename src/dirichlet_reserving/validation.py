@@ -7,7 +7,7 @@ development year. Metrics per accident year and method:
 
 * rmse  - root of the mean (over insurers) squared deviation of the
   realized ratio from the point prediction;
-* cov95 - share of insurers whose interval contains the realized ratio;
+* cov95 - share of insurers whose 95% interval contains the realized ratio;
 * len95 - mean interval length.
 
 For a single insurer the rows reduce to the absolute deviation, a 0/1
@@ -181,7 +181,6 @@ def run_panel(
     years: int | None = None,
     n_sim: int = 400,
     seed: int = 0,
-    level: float = 0.95,
 ) -> EvalReport:
     """Fit and score every insurer in a directory.
 
@@ -209,7 +208,7 @@ def run_panel(
             preds = [
                 PredictionRecord(name, r["accident_year"], method, r["point"], r["lo"], r["hi"])
                 for method in methods
-                for r in predict_intervals(lr, method, n_sim, seed, level)
+                for r in predict_intervals(lr, method, n_sim, seed, 0.95)
             ]
         except Exception as exc:  # isolate per-insurer failures
             failures.append((name, str(exc)))

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import dirichlet_reserving as dr
-from dirichlet_reserving.bayes import BayesState, McmcError, _Data, _sample_truncated_beta
+from dirichlet_reserving.bayes import BayesState, _Data, _sample_truncated_beta
 
 from test_model import make_lr
 
@@ -178,6 +178,18 @@ class TestTruncatedBeta:
         )
         assert u[0] > 0.6  # far above the Beta bulk near 0.09
 
+    def test_lockstep_inversion_matches_truncated_cdf(self):
+        # every component lies far above the Beta(5, 50) bulk, so all of
+        # them reach the inverse-CDF fallback in one call
+        stats = pytest.importorskip("scipy.stats")
+        size, lo = 2000, 0.3
+        rng = np.random.default_rng(74)
+        u = _sample_truncated_beta(np.full(size, 5.0), np.full(size, 50.0), np.full(size, lo), rng)
+        assert np.all(u > lo)
+        tail = stats.beta.sf(lo, 5.0, 50.0)
+        cdf = lambda v: (tail - stats.beta.sf(v, 5.0, 50.0)) / tail
+        assert stats.kstest(u, cdf).pvalue > 0.01
+
 
 class TestRunMcmc:
     def test_deterministic_given_seed(self):
@@ -219,11 +231,12 @@ class TestRunMcmc:
             dr.run_mcmc(lr10, small_spec(phi_hyper_cap=0.5), seed=0)
 
     def test_cap_too_close_for_initial_scales(self, lr10):
-        # a cap just above the data passes the input check, but no initial
-        # hyper scale fits between a chain's starting scales and the cap
+        # a cap just above the data passes the input check; the chains then
+        # start below it instead of failing, and their hyper draws crowd it
         cap = 1.0001 * float(lr10.observed_cumulative().max())
-        with pytest.raises(McmcError, match="too low"):
-            dr.run_mcmc(lr10, small_spec(phi_hyper_cap=cap), seed=0)
+        ps = dr.run_mcmc(lr10, small_spec(phi_hyper_cap=cap, chains=1), seed=0)
+        assert np.all(ps.phi_hyper <= cap)
+        assert "phi_hyper draws within 1% of the configured cap" in ps.warnings
 
     def test_ridge_exploration_flags_caps(self, lr18):
         # the flat-prior ridge runs into the configured caps and the run

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import dirichlet_reserving as dr
-from dirichlet_reserving.gof import regularized_incomplete_beta, to_json_dict
-from dirichlet_reserving.model import SupportError
+from dirichlet_reserving import bootstrap, mle
+from dirichlet_reserving.gof import _pit, regularized_incomplete_beta, to_json_dict
+from dirichlet_reserving.model import SupportError, simulate_masked
 
 from test_model import make_lr
 
@@ -140,6 +141,19 @@ class TestPitTransform:
             atol=1e-12,
         )
 
+    @pytest.mark.parametrize("years", [10, 18])
+    def test_batched_rows_equal_triangle_transforms(self, years, lr10, lr18, fit10, fit18):
+        lr, fit = (lr10, fit10) if years == 10 else (lr18, fit18)
+        rng = np.random.default_rng(54)
+        sims = np.stack([simulate_masked(fit.theta_hat, lr.k, rng) for _ in range(9)])
+        a, phi, ok = mle._fit_batch(sims, lr.k)
+        assert ok.all()
+        u = _pit(a, 1.0, phi, sims, lr.k, lr.years)
+        mask = np.arange(lr.n) < lr.k[:, None]
+        for r in range(sims.shape[0]):
+            t = dr.LossRatioTriangle(lr.years, lr.premiums, np.where(mask, sims[r], np.nan))
+            np.testing.assert_array_equal(u[r], dr.pit_transform(dr.DirichletParams(a[r], 1.0, phi[r]), t))
+
     def test_support_violation_raises(self):
         t = make_lr([[0.4, 0.4]], n=2)
         p = dr.DirichletParams([1.0, 1.0], 1.0, [0.5])
@@ -199,6 +213,14 @@ class TestGofTest:
         assert a.t_obs == b.t_obs
         np.testing.assert_array_equal(a.null_sample, b.null_sample)
         assert (a.lower, a.upper, a.reject) == (b.lower, b.upper, b.reject)
+
+    def test_null_sample_independent_of_chunk(self, lr10, monkeypatch):
+        samples = []
+        for chunk in (7, 128, 1000):
+            monkeypatch.setattr(bootstrap, "_CHUNK", chunk)
+            samples.append(dr.gof_test(lr10, alpha=0.05, n_boot=150, seed=4).null_sample)
+        for other in samples[1:]:
+            np.testing.assert_array_equal(other, samples[0])
 
     def test_alpha_validation(self, lr10):
         with pytest.raises(ValueError):

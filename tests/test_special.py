@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dirichlet_reserving.special import digamma, log_gamma, trigamma
+from dirichlet_reserving.special import digamma, log_gamma, regularized_incomplete_beta, trigamma
 
 
 def euler_mascheroni(terms=200000):
@@ -105,3 +105,43 @@ def test_vector_matches_scalar():
     x = np.array([0.5, 1.0, 9.7, 300.0])
     for f in (log_gamma, digamma, trigamma):
         np.testing.assert_array_equal(f(x), np.array([f(float(v)) for v in x]))
+
+
+class TestIncompleteBetaArrays:
+    """The array evaluation; its accuracy is checked in test_gof."""
+
+    def test_broadcast_shapes(self):
+        x = np.linspace(0.05, 0.95, 12).reshape(3, 1, 4)
+        a = np.array([[0.5], [2.0]])
+        b = np.array([1.5, 3.0, 40.0, 7.0])
+        got = regularized_incomplete_beta(x, a, b)
+        assert got.shape == (3, 2, 4)
+        xb, ab, bb = np.broadcast_arrays(x, a, b)
+        for idx in np.ndindex(got.shape):
+            assert got[idx] == regularized_incomplete_beta(xb[idx], ab[idx], bb[idx])
+
+    def test_endpoints_mixed_into_one_array(self):
+        x = np.array([-0.5, 0.0, 0.25, 1.0, 1.5, 0.75])
+        got = regularized_incomplete_beta(x, 2.0, 3.0)
+        np.testing.assert_array_equal(got[[0, 1]], 0.0)
+        np.testing.assert_array_equal(got[[3, 4]], 1.0)
+        assert got[2] == regularized_incomplete_beta(0.25, 2.0, 3.0)
+        assert 0.0 < got[2] < got[5] < 1.0
+
+    def test_nonpositive_shape_anywhere_raises(self):
+        x = np.full(5, 0.5)
+        for bad in (0.0, -1.0):
+            shapes = np.array([1.0, 2.0, bad, 4.0, 5.0])
+            with pytest.raises(ValueError, match="positive"):
+                regularized_incomplete_beta(x, shapes, 2.0)
+            with pytest.raises(ValueError, match="positive"):
+                regularized_incomplete_beta(x, 2.0, shapes)
+
+    def test_elements_bit_equal_to_single_calls(self):
+        rng = np.random.default_rng(12)
+        a = 10 ** rng.uniform(-2, 4, size=400)
+        b = 10 ** rng.uniform(-2, 4, size=400)
+        x = rng.uniform(0.0, 1.0, size=400)
+        got = regularized_incomplete_beta(x, a, b)
+        want = [regularized_incomplete_beta(float(v), float(p), float(q)) for v, p, q in zip(x, a, b)]
+        np.testing.assert_array_equal(got, want)
