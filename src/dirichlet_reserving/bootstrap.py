@@ -19,7 +19,8 @@ own, whatever replicates precede it. :func:`refit_replicates`, which the
 goodness-of-fit null shares, refits replicates in lockstep batches of
 ``_CHUNK`` (a fixed constant, not an option) through ``mle._fit_batch``;
 a replicate's refit is bit-identical to fitting it alone, so the chunk
-size changes no output.
+size changes no output. :func:`bootstrap_once` simulates and refits one
+replicate through the same path, as a batch of one.
 """
 
 from __future__ import annotations
@@ -75,8 +76,8 @@ class PredictiveDistribution:
 def bootstrap_once(
     theta_gen: DirichletParams, t: LossRatioTriangle, rng: np.random.Generator
 ) -> DirichletParams:
-    """Simulate one dataset with t's mask from ``theta_gen`` and refit."""
-    return mle._fit_arrays(simulate_masked(theta_gen, t.k, rng), t.k)
+    """Simulate one dataset with t's mask from ``theta_gen`` and refit it."""
+    return mle._fit_arrays(simulate_masked(theta_gen, t.k, rng), t.k, t.years).theta_hat
 
 
 # Replicates per lockstep batch: large enough to spread numpy's per-call
@@ -118,7 +119,7 @@ def refit_replicates(theta_gen, k, seed, stage, count, observed=None, error=Boot
         pending = np.arange(size)
         while pending.size:
             sim = np.stack([simulate_masked(theta_gen, k, rngs[j]) for j in pending])
-            a_p, phi_p, ok = mle._fit_batch(sim, k)
+            a_p, phi_p, _, _, _, ok = mle._fit_batch(sim, k)
             if observed is not None:
                 # conditional simulation must respect phi_i > observed cumulative
                 ok &= (phi_p[:, partial] > observed[partial]).all(axis=1)

@@ -6,12 +6,21 @@ Newton-Raphson on the profiled log-likelihood with an analytic gradient
 and Hessian. Iterations run on log shapes to enforce positivity, with
 backtracking step halving and a gradient-step fallback.
 
-One Newton implementation serves every fit: it runs R datasets that share
-one observed mask in lockstep on (R, n) arrays, each with its own step,
-line search and stopping tests. :func:`fit_mle` is a batch of one; the
-bootstrap and the goodness-of-fit null refit their replicates in batches
-through :func:`_fit_batch`. Batch invariance: a dataset's fit is
+One fit path serves every fit: :func:`_fit_batch` runs R datasets that
+share one observed mask through one Newton implementation in lockstep on
+(R, n) arrays, each with its own step, line search and stopping tests.
+:func:`fit_mle` and ``bootstrap.bootstrap_once`` are batches of one,
+through :func:`_fit_arrays`; the bootstrap and the goodness-of-fit null
+refit their replicates in batches. Batch invariance: a dataset's fit is
 bit-identical whatever other datasets share its batch.
+
+Two row sums, which can differ in the last bits, are in play. The
+likelihood reads ``_Stats.s``, the sum over all n columns with the
+unobserved cells zeroed; switching it would move every fit's Newton path
+in the last bits, and with it the refits that stop near the roundoff
+floor. The scales (:func:`_scales`, for :func:`profile_phi` and every
+fit) read ``triangle.prefix_sums``: the triangle's observed cumulative,
+bit for bit, as the bootstrap and the hold-out evaluation use it.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ import numpy as np
 from .errors import InputError, NumericalError
 from .model import DirichletParams
 from .special import digamma, log_gamma, trigamma
-from .triangle import LossRatioTriangle
+from .triangle import LossRatioTriangle, prefix_sums
 
 
 class IdentificationError(InputError):
@@ -59,7 +68,8 @@ class _Stats:
     Rows are grouped by observed prefix length so that evaluations cost
     O(n) / O(n^2) per dataset. The grouping (``N``, ``cnt``, ``kk``,
     ``ckk``) depends on the mask only and is shared; ``s``, ``L``, ``M``
-    and ``mean_complete`` carry a leading batch axis. ``loglik`` and
+    and ``start`` (Newton's start: column means over the mean complete
+    row total, scaled to sum 100) carry a leading batch axis. ``loglik`` and
     ``grad`` take shapes of shape (R', n) for the datasets ``rows`` (all
     of them when None) and return (R',) and (R', n); ``hess`` depends on
     the mask only, takes any (R', n) and returns (R', n, n).
@@ -72,7 +82,8 @@ class _Stats:
         self.m, self.n = m, n
         self.k = np.asarray(k, dtype=int)
         mask = np.arange(n)[None, :] < self.k[:, None]
-        self.s = np.where(mask, ratios, 0.0).sum(axis=2)
+        padded = np.where(mask, ratios, 0.0)
+        self.s = padded.sum(axis=2)
         self.N = mask.sum(axis=0)
         if np.any(self.N == 0):
             j = int(np.argmax(self.N == 0)) + 1
@@ -85,9 +96,9 @@ class _Stats:
         # to the profile terms)
         self.kk = np.nonzero(self.cnt[1:n])[0] + 1
         self.ckk = self.cnt[self.kk]
-        if not np.any(self.k == n):
-            raise IdentificationError("development year n is never observed")
-        self.mean_complete = np.take(self.s, np.flatnonzero(self.k == n), axis=1).mean(axis=1)
+        mean_complete = np.take(self.s, np.flatnonzero(self.k == n), axis=1).mean(axis=1)
+        base = padded.sum(axis=1) / self.N / mean_complete[:, None]
+        self.start = 100.0 * base / base.sum(axis=1, keepdims=True)
         idx = np.arange(1, n + 1)
         self._later = np.maximum.outer(idx, idx)
         self._earlier = np.minimum.outer(idx, idx) - 1
@@ -155,14 +166,6 @@ class _Stats:
         diag = np.arange(n)
         H[:, diag, diag] -= self.N * tg[:, 1 : n + 1]
         return H
-
-
-def _starting_values(ratios: np.ndarray, k: np.ndarray, stats: _Stats) -> np.ndarray:
-    n = ratios.shape[2]
-    mask = np.arange(n)[None, :] < np.asarray(k)[:, None]
-    colmean = np.where(mask, ratios, 0.0).sum(axis=1) / mask.sum(axis=0)
-    base = colmean / stats.mean_complete[:, None]
-    return 100.0 * base / base.sum(axis=1, keepdims=True)
 
 
 def _solve(H: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -258,27 +261,38 @@ def _newton(stats: _Stats, a_start: np.ndarray):
     return a, ll, int(iterations.sum()), gnorm, converged
 
 
+def _scales(a: np.ndarray, b_n: float, s: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Profiled scales (c_n + b_n - 1) / c_{k_i} * s_i (R, m), c the cumulative
+    shapes ``a`` (R, n), ``s`` (R, m) the observed cumulatives."""
+    c = np.cumsum(a, axis=1)
+    return (c[:, -1:] + b_n - 1.0) / np.take(c, k - 1, axis=1) * s
+
+
 def _fit_batch(ratios: np.ndarray, k: np.ndarray):
     """Fit R datasets of shape (R, m, n) that share the mask ``k`` (cells
     beyond each row's prefix ignored) in one lockstep Newton run.
 
-    Returns shapes (R, n), profiled scales (R, m) and convergence flags
-    (R,). Each dataset's result is bit-identical to fitting it alone.
+    Returns shapes (R, n), profiled scales (R, m), log-likelihoods (R,),
+    the iteration total over the batch, gradient max-norms (R,) and
+    convergence flags (R,). Each dataset's result is bit-identical to
+    fitting it alone.
     """
     k = np.asarray(k)
     stats = _Stats(ratios, k)
-    a, _, _, _, converged = _newton(stats, _starting_values(ratios, k, stats))
-    phi = (a.sum(axis=1)[:, None] / np.take(np.cumsum(a, axis=1), k - 1, axis=1)) * stats.s
-    return a, phi, converged
+    a, ll, iterations, gnorm, converged = _newton(stats, stats.start)
+    return a, _scales(a, 1.0, prefix_sums(ratios, k), k), ll, iterations, gnorm, converged
 
 
-def _fit_arrays(ratios: np.ndarray, k: np.ndarray) -> DirichletParams:
-    """Fit one dataset on dense arrays, as a batch of one; used by
-    :func:`bootstrap.bootstrap_once` to avoid triangle re-validation."""
-    a, phi, converged = _fit_batch(ratios[None], k)
+def _fit_arrays(ratios: np.ndarray, k: np.ndarray, years: tuple) -> FitResult:
+    """Fit one (m, n) dataset with prefix lengths ``k`` (later cells ignored,
+    but finite) as a batch of one; raise :class:`ConvergenceError` unless it converges."""
+    a, phi, ll, iterations, gnorm, converged = _fit_batch(ratios[None], k)
     if not converged[0]:
-        raise ConvergenceError("refit did not converge")
-    return DirichletParams(a[0], 1.0, phi[0])
+        raise ConvergenceError(
+            f"no convergence after {iterations} iterations (gradient norm {gnorm[0]:.3g})"
+        )
+    return FitResult(DirichletParams(a[0], 1.0, phi[0]), float(ll[0]), iterations, True,
+                     float(gnorm[0]), years)
 
 
 def profile_phi(a: np.ndarray, b_n: float, t: LossRatioTriangle) -> np.ndarray:
@@ -289,13 +303,11 @@ def profile_phi(a: np.ndarray, b_n: float, t: LossRatioTriangle) -> np.ndarray:
     shapes over its observed development years.
     """
     a = np.asarray(a, dtype=float)
-    if a.size != t.n or np.any(a <= 0):
-        raise ValueError(f"need {t.n} positive shape parameters")
-    if b_n < 1.0:
-        raise ValueError("the tail shape parameter must be >= 1")
-    c = np.cumsum(a)
-    s = t.observed_cumulative()
-    return (c[-1] + b_n - 1.0) / c[t.k - 1] * s
+    if a.size != t.n or not np.all(np.isfinite(a) & (a > 0)):
+        raise ValueError(f"need {t.n} positive finite shape parameters")
+    if not np.isfinite(b_n) or b_n < 1.0:
+        raise ValueError("the tail shape parameter must be finite and >= 1")
+    return _scales(a[None], b_n, t.observed_cumulative()[None], t.k)[0]
 
 
 def fit_mle(t: LossRatioTriangle) -> FitResult:
@@ -310,18 +322,7 @@ def fit_mle(t: LossRatioTriangle) -> FitResult:
         before the step or gradient tolerance is met or the predicted gain
         falls below the log-likelihood's roundoff floor.
     """
-    ratios = np.nan_to_num(t.ratios, nan=0.0)[None]
-    stats = _Stats(ratios, t.k)
-    a_start = _starting_values(ratios, t.k, stats)
-    a, ll, iterations, gnorm, converged = _newton(stats, a_start)
-    a, gnorm = a[0], float(gnorm[0])
-    if not converged[0]:
-        raise ConvergenceError(
-            f"no convergence after {iterations} iterations (gradient norm {gnorm:.3g})"
-        )
-    phi = profile_phi(a, 1.0, t)
-    theta = DirichletParams(a, 1.0, phi)
-    return FitResult(theta, float(ll[0]), iterations, True, gnorm, t.years)
+    return _fit_arrays(np.nan_to_num(t.ratios, nan=0.0), t.k, t.years)
 
 
 def _one(t: LossRatioTriangle) -> _Stats:

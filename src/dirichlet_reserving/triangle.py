@@ -3,7 +3,9 @@
 A triangle holds earned premiums and incremental paid losses per accident
 year (rows) and development year (columns). Only a staircase of cells is
 observed at valuation; unobserved cells are NaN. Loss ratios are losses
-divided by the accident year's premium.
+divided by the accident year's premium. Both triangle classes run one set
+of checks, and :func:`prefix_sums` is the package's one sum of each row's
+observed cells.
 
 Triangle CSV format: UTF-8, comma separated, header row
 ``accident_year,premium,dev_1,...,dev_n``, one data row per accident year
@@ -31,24 +33,55 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _observed_counts(values: np.ndarray, what: str) -> np.ndarray:
-    """Per-row count of observed cells, enforcing a prefix-shaped mask."""
-    m, n = values.shape
-    obs = ~np.isnan(values)
-    k = obs.sum(axis=1)
-    for i in range(m):
-        if k[i] == 0:
-            raise TriangleError(f"{what}: row {i + 1} has no observed cells")
-        if not obs[i, : k[i]].all():
-            raise TriangleError(
-                f"{what}: row {i + 1} mask is not staircase-shaped "
-                "(observed cells must form a prefix)"
-            )
-    return k
+class _Triangle:
+    """The checks both triangle dataclasses run on their years, premiums
+    and (m, n) cell array, named by ``_cells``; errors name the accident
+    year and, for a cell, the development year."""
+
+    _cells = ("losses", "incremental loss")  # (field name, noun in errors)
+
+    def __post_init__(self):
+        name, noun = self._cells
+        object.__setattr__(self, "years", tuple(int(y) for y in self.years))
+        object.__setattr__(self, "premiums", _freeze(self.premiums))
+        values = _freeze(getattr(self, name))
+        object.__setattr__(self, name, values)
+        m, _ = values.shape
+        if len(self.years) != m or len(self.premiums) != m:
+            raise TriangleError(f"years, premiums and {name} disagree on row count")
+        if np.any(self.premiums <= 0):
+            bad = self.years[int(np.argmax(self.premiums <= 0))]
+            raise TriangleError(f"nonpositive premium for accident year {bad}")
+        obs = ~np.isnan(values)
+        k = obs.sum(axis=1)
+        for i in range(m):
+            if k[i] == 0:
+                raise TriangleError(f"{name}: row {i + 1} has no observed cells")
+            if not obs[i, : k[i]].all():
+                raise TriangleError(
+                    f"{name}: row {i + 1} mask is not staircase-shaped "
+                    "(observed cells must form a prefix)"
+                )
+        with np.errstate(invalid="ignore"):
+            if np.any(values <= 0):
+                i, j = np.argwhere(values <= 0)[0]
+                raise TriangleError(
+                    f"nonpositive {noun} at accident year {self.years[i]}, "
+                    f"development year {j + 1}"
+                )
+        object.__setattr__(self, "k", _freeze(k).astype(int))
+
+    @property
+    def m(self) -> int:
+        return getattr(self, self._cells[0]).shape[0]
+
+    @property
+    def n(self) -> int:
+        return getattr(self, self._cells[0]).shape[1]
 
 
 @dataclass(frozen=True)
-class RunOffTriangle:
+class RunOffTriangle(_Triangle):
     """Premiums and incremental paid losses with an observed-cell mask.
 
     Parameters
@@ -67,68 +100,32 @@ class RunOffTriangle:
     losses: np.ndarray
     k: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "years", tuple(int(y) for y in self.years))
-        object.__setattr__(self, "premiums", _freeze(self.premiums))
-        object.__setattr__(self, "losses", _freeze(self.losses))
-        m, n = self.losses.shape
-        if len(self.years) != m or len(self.premiums) != m:
-            raise TriangleError("years, premiums and losses disagree on row count")
-        if np.any(self.premiums <= 0):
-            bad = self.years[int(np.argmax(self.premiums <= 0))]
-            raise TriangleError(f"nonpositive premium for accident year {bad}")
-        k = _observed_counts(self.losses, "losses")
-        with np.errstate(invalid="ignore"):
-            if np.any(self.losses <= 0):
-                i, j = np.argwhere(self.losses <= 0)[0]
-                raise TriangleError(
-                    f"nonpositive incremental loss at accident year {self.years[i]}, "
-                    f"development year {j + 1}"
-                )
-        object.__setattr__(self, "k", _freeze(k).astype(int))
-
-    @property
-    def m(self) -> int:
-        return self.losses.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.losses.shape[1]
-
 
 @dataclass(frozen=True)
-class LossRatioTriangle:
+class LossRatioTriangle(_Triangle):
     """Incremental loss ratios (losses over premium), same mask as the source."""
+
+    _cells = ("ratios", "loss ratio")
 
     years: tuple
     premiums: np.ndarray
     ratios: np.ndarray
     k: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "years", tuple(int(y) for y in self.years))
-        object.__setattr__(self, "premiums", _freeze(self.premiums))
-        object.__setattr__(self, "ratios", _freeze(self.ratios))
-        if np.any(self.premiums <= 0):
-            raise TriangleError("nonpositive premium")
-        k = _observed_counts(self.ratios, "ratios")
-        with np.errstate(invalid="ignore"):
-            if np.any(self.ratios <= 0):
-                raise TriangleError("nonpositive loss ratio")
-        object.__setattr__(self, "k", _freeze(k).astype(int))
-
-    @property
-    def m(self) -> int:
-        return self.ratios.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.ratios.shape[1]
-
     def observed_cumulative(self) -> np.ndarray:
         """Cumulative observed loss ratio per accident year (through each
         row's last observed development year)."""
-        return np.array([self.ratios[i, : self.k[i]].sum() for i in range(self.m)])
+        return prefix_sums(self.ratios, self.k)
+
+
+def prefix_sums(values: np.ndarray, k) -> np.ndarray:
+    """Each row's ``values[..., i, :k[i]].sum()`` on an (m, n) triangle or an
+    (R, m, n) stack, bit for bit: each row is summed along a last axis of
+    exactly its prefix length (a zero-padded sum can differ)."""
+    out = np.empty(values.shape[:-1])
+    for i, length in enumerate(k):
+        out[..., i] = values[..., i, :length].sum(axis=-1)
+    return out
 
 
 def _parse_cell(token: str, where: str, column: str) -> float:

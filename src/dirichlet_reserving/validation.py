@@ -83,16 +83,14 @@ def realized_ultimates(t: RunOffTriangle, holdout: dict) -> dict:
     Fully observed training rows need no holdout row; every partially
     observed row must have exactly its unobserved cells in the holdout.
     """
-    # same elementwise-ratio-then-sum path as the triangle's observed
-    # cumulative, so a zero-width interval at an exactly known ultimate
-    # contains the realized value bit for bit
-    ratios = t.losses / t.premiums[:, None]
+    # the triangle's own observed cumulative, so a fully developed year's
+    # realized ultimate is both endpoints of its zero-width interval
+    paid = to_loss_ratios(t).observed_cumulative()
     out = {}
     for i, year in enumerate(t.years):
         ki = int(t.k[i])
-        paid_ratio = float(ratios[i, :ki].sum())
+        out[year] = float(paid[i])
         if ki == t.n:
-            out[year] = paid_ratio
             continue
         if year not in holdout:
             raise TriangleError(f"holdout data missing for accident year {year}")
@@ -105,7 +103,7 @@ def realized_ultimates(t: RunOffTriangle, holdout: dict) -> dict:
                 f"holdout cells for accident year {year} must cover development "
                 f"years {min(expect)}..{t.n}"
             )
-        out[year] = paid_ratio + sum(cells.values()) / float(t.premiums[i])
+        out[year] += sum(cells.values()) / float(t.premiums[i])
     return out
 
 

@@ -146,7 +146,7 @@ class TestPitTransform:
         lr, fit = (lr10, fit10) if years == 10 else (lr18, fit18)
         rng = np.random.default_rng(54)
         sims = np.stack([simulate_masked(fit.theta_hat, lr.k, rng) for _ in range(9)])
-        a, phi, ok = mle._fit_batch(sims, lr.k)
+        a, phi, _, _, _, ok = mle._fit_batch(sims, lr.k)
         assert ok.all()
         u = _pit(a, 1.0, phi, sims, lr.k, lr.years)
         mask = np.arange(lr.n) < lr.k[:, None]

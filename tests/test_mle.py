@@ -43,6 +43,14 @@ class TestProfilePhi:
             dr.profile_phi(REF_A_18, 0.5, lr18)
         with pytest.raises(ValueError):
             dr.profile_phi(REF_A_18[:-1], 1.0, lr18)
+        for b_n in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                dr.profile_phi(REF_A_18, b_n, lr18)
+        for bad in (np.nan, np.inf):
+            a = REF_A_18.copy()
+            a[3] = bad
+            with pytest.raises(ValueError):
+                dr.profile_phi(a, 1.0, lr18)
 
 
 class TestDerivatives:
@@ -218,14 +226,19 @@ class TestBatchEngine:
     @pytest.mark.parametrize("years", [10, 18])
     def test_batch_fit_equals_fits_alone(self, years, lr10, lr18, fit10, fit18):
         lr, fit = (lr10, fit10) if years == 10 else (lr18, fit18)
-        sims = _simulated(lr, fit, 40, 27)
-        a, phi, ok = mle._fit_batch(sims, lr.k)
+        # the last dataset is the triangle itself, which fit_mle fits alone
+        sims = np.concatenate((_simulated(lr, fit, 40, 27), np.nan_to_num(lr.ratios)[None]))
+        a, phi, ll, _, gnorm, ok = mle._fit_batch(sims, lr.k)
         assert ok.all()
         for i in range(sims.shape[0]):
-            a1, phi1, ok1 = mle._fit_batch(sims[i : i + 1], lr.k)
+            a1, phi1, _, _, _, ok1 = mle._fit_batch(sims[i : i + 1], lr.k)
             assert ok1[0]
             np.testing.assert_array_equal(a1[0], a[i])
             np.testing.assert_array_equal(phi1[0], phi[i])
+        np.testing.assert_array_equal(a[-1], fit.theta_hat.a)
+        np.testing.assert_array_equal(phi[-1], fit.theta_hat.phi)
+        assert ll[-1] == fit.loglik
+        assert gnorm[-1] == fit.gradient_norm
 
     @pytest.mark.parametrize("years", [10, 18])
     def test_batched_rows_match_single_dataset_oracles(self, years, lr10, lr18, fit10, fit18):
@@ -233,7 +246,7 @@ class TestBatchEngine:
         sims = _simulated(lr, fit, 12, 28)
         # near each dataset's optimum, where the profiled value is far from
         # zero and a relative tolerance is meaningful
-        optima, _, _ = mle._fit_batch(sims, lr.k)
+        optima, *_ = mle._fit_batch(sims, lr.k)
         shapes = optima * np.random.default_rng(29).uniform(0.9, 1.1, size=(12, lr.n))
         stats = mle._Stats(sims, lr.k)
         ll, g, H = stats.loglik(shapes), stats.grad(shapes), stats.hess(shapes)

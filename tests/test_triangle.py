@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import dirichlet_reserving as dr
-from dirichlet_reserving.triangle import TriangleError
+from dirichlet_reserving.triangle import TriangleError, prefix_sums
 
 
 def write(tmp_path, text, name="tri.csv"):
@@ -135,6 +135,45 @@ class TestLossRatios:
 
     def test_mask_preserved(self, triangle18, lr18):
         np.testing.assert_array_equal(np.isnan(lr18.ratios), np.isnan(triangle18.losses))
+
+    def test_row_count_mismatch(self):
+        with pytest.raises(TriangleError, match="row count"):
+            dr.LossRatioTriangle([2001, 2002], np.ones(5), np.full((3, 2), 0.5))
+        with pytest.raises(TriangleError, match="row count"):
+            dr.LossRatioTriangle([2001, 2002, 2003], np.ones(2), np.full((3, 2), 0.5))
+
+    def test_nonpositive_premium_names_year(self):
+        with pytest.raises(TriangleError, match="premium for accident year 2002"):
+            dr.LossRatioTriangle([2001, 2002], np.array([1.0, 0.0]), np.full((2, 2), 0.5))
+
+    def test_nonpositive_ratio_names_cell(self):
+        ratios = np.array([[0.5, 0.2], [0.4, -0.1]])
+        with pytest.raises(
+            TriangleError, match="loss ratio at accident year 2002, development year 2"
+        ):
+            dr.LossRatioTriangle([2001, 2002], np.ones(2), ratios)
+
+
+class TestPrefixSums:
+    @pytest.mark.parametrize("years", [10, 18])
+    def test_bundled_rows_bit_equal(self, years, lr10, lr18):
+        lr = lr10 if years == 10 else lr18
+        want = np.array([lr.ratios[i, : lr.k[i]].sum() for i in range(lr.m)])
+        np.testing.assert_array_equal(prefix_sums(lr.ratios, lr.k), want)
+        np.testing.assert_array_equal(lr.observed_cumulative(), want)
+
+    @pytest.mark.parametrize("m,n", [(10, 10), (18, 10), (30, 20)])
+    def test_stacks_bit_equal(self, m, n):
+        # prefixes of 8 and more cells take numpy's unrolled summation
+        rng = np.random.default_rng(31)
+        k = np.clip(m - np.arange(m), 1, n)
+        stack = rng.gamma(0.5, size=(5, m, n)) * 10.0 ** rng.uniform(-3, 3, size=(5, m, 1))
+        got = prefix_sums(stack, k)
+        assert got.shape == (5, m)
+        for r in range(5):
+            np.testing.assert_array_equal(
+                got[r], [stack[r, i, : k[i]].sum() for i in range(m)]
+            )
 
 
 class TestCumulative:

@@ -32,6 +32,16 @@ class TestHoldoutJoin:
             float(np.nansum(triangle18.losses[0])) / triangle18.premiums[0]
         )
 
+    @pytest.mark.parametrize("years", [10, 18])
+    def test_complete_years_bit_equal_observed_cumulative(self, years, triangle18, holdout):
+        t = dr.most_recent_years(triangle18, years)
+        realized = realized_ultimates(t, holdout)
+        observed = dr.to_loss_ratios(t).observed_cumulative()
+        complete = [i for i in range(t.m) if t.k[i] == t.n]
+        assert complete
+        for i in complete:
+            assert realized[t.years[i]] == observed[i]
+
     def test_missing_year_rejected(self, triangle18, holdout):
         partial = {y: v for y, v in holdout.items() if y != 2003}
         with pytest.raises(TriangleError, match="2003"):
