@@ -107,9 +107,9 @@ class PosteriorSample:
 class _Data:
     """Sufficient statistics of one triangle for the total log-likelihood.
 
-    Rows are grouped by observed prefix length, as in ``mle._Stats``:
-    ``inv`` maps each row to its group, ``kidx`` holds each group's last
-    observed development year (0-based) and ``cnt`` its row count.
+    ``N``, ``L`` and the prefix-length counts come from ``mle._one``:
+    ``inv`` maps each row to its prefix-length group, ``kidx`` holds each
+    group's last observed development year (0-based), ``cnt`` its row count.
     With c the cumulative shapes, the total over the m rows is
 
         m lnG(a0+b) - sum_j N_j lnG(a_j) + sum_j a_j L_j - const
@@ -124,17 +124,16 @@ class _Data:
     """
 
     def __init__(self, t: LossRatioTriangle):
+        stats = mle._one(t)
         self.m, self.n = t.m, t.n
-        self.k = t.k.astype(int)
         self.s = t.observed_cumulative()
-        mask = np.arange(t.n)[None, :] < self.k[:, None]
-        lnY = np.where(mask, np.log(np.where(mask, t.ratios, 1.0)), 0.0)
-        uk, self.inv = np.unique(self.k, return_inverse=True)
-        self.kidx = (uk - 1).tolist()
-        self.cnt = np.bincount(self.inv).tolist()
-        self.N = mask.sum(axis=0).tolist()
-        self.L = lnY.sum(axis=0).tolist()
-        self.const = float(lnY.sum())
+        lengths = np.flatnonzero(stats.cnt)
+        self.inv = np.searchsorted(lengths, t.k)
+        self.kidx = (lengths - 1).tolist()
+        self.cnt = stats.cnt[lengths].tolist()
+        self.N = stats.N.tolist()
+        self.L = stats.L[0].tolist()
+        self.const = float(stats.L[0].sum())
 
     def phi_sums(self, phi):
         """Per-group sums (P, Q) of ln(phi_i) and log1p(-s_i/phi_i)."""
@@ -244,7 +243,7 @@ def run_mcmc(t: LossRatioTriangle, spec: BayesSpec, seed: int = 0) -> PosteriorS
             f"loss ratio {data.s[top]:.4f} (accident year {t.years[top]})"
         )
     m, n = data.m, data.n
-    row_k = data.k - 1  # index of each row's last observed development year
+    row_k = t.k - 1  # index of each row's last observed development year
     fit = mle.fit_mle(t)
     a_ref = fit.theta_hat.a
 
@@ -269,8 +268,7 @@ def run_mcmc(t: LossRatioTriangle, spec: BayesSpec, seed: int = 0) -> PosteriorS
         a0 = a.sum()
         lower = _support_lower(a0, ratio)
         b = lower * (1.05 + 0.05 * rng.random()) if lower > 1.0 else 1.0 + 0.1 + 0.1 * rng.random()
-        c = np.cumsum(a)
-        phi_prof = (a0 + b - 1.0) / c[row_k] * data.s
+        phi_prof = mle._scales(a[None], b, data.s[None], t.k)[0]
         phi = data.s + (phi_prof - data.s) * np.exp(0.1 * rng.standard_normal(m))
         hyp = min(cap * 0.999, float(phi.max()) * 1.25)
         if hyp <= phi.max():

@@ -4,7 +4,9 @@ Chain-Ladder with volume-weighted (all-year) development factors and
 distribution-free standard errors, normal-approximation prediction
 intervals, the expected loss-ratio method, and Bornhuetter-Ferguson.
 The expected ultimate for Bornhuetter-Ferguson and the expected method is
-external information and must always be supplied by the caller.
+external information and must always be supplied by the caller. Every
+method starts from the paid-to-date ``observed_cumulative()``, which is
+also a fully developed year's realized ultimate in ``validation``.
 """
 
 from __future__ import annotations
@@ -74,9 +76,7 @@ def cl_fit(t: LossRatioTriangle) -> ClFit:
     """
     m, n = t.m, t.n
     k = t.k
-    C = np.full((m, n), np.nan)
-    for i in range(m):
-        C[i, : k[i]] = np.cumsum(t.ratios[i, : k[i]])
+    C = np.cumsum(t.ratios, axis=1)  # NaN past each row's prefix, never read
 
     factors = np.empty(n - 1)
     sigma2 = np.full(n - 1, np.nan)
@@ -105,25 +105,19 @@ def cl_fit(t: LossRatioTriangle) -> ClFit:
     with np.errstate(invalid="ignore"):
         factor_se = np.sqrt(sigma2 / col_volume)
 
-    observed = np.array([C[i, k[i] - 1] for i in range(m)])
+    observed = t.observed_cumulative()
     ultimates = np.empty(m)
-    msep = np.zeros(m)
+    msep = np.empty(m)
     for i in range(m):
-        ki = int(k[i])
-        proj = np.empty(n + 1)  # proj[age] = cumulative ratio at development age
-        proj[ki] = C[i, ki - 1]
-        for age in range(ki, n):
-            proj[age + 1] = proj[age] * factors[age - 1]
-        ultimates[i] = proj[n]
-        acc = 0.0
-        for age in range(ki, n):
+        proj, acc = observed[i], 0.0  # proj: cumulative ratio at the current age
+        for age in range(int(k[i]), n):
             acc += (sigma2[age - 1] / factors[age - 1] ** 2) * (
-                1.0 / proj[age] + 1.0 / col_volume[age - 1]
+                1.0 / proj + 1.0 / col_volume[age - 1]
             )
-        msep[i] = ultimates[i] ** 2 * acc
-    return ClFit(
-        t.years, factors, factor_se, sigma2, ultimates, np.sqrt(msep), observed, k.copy()
-    )
+            proj = proj * factors[age - 1]
+        ultimates[i] = proj
+        msep[i] = proj**2 * acc
+    return ClFit(t.years, factors, factor_se, sigma2, ultimates, np.sqrt(msep), observed, k)
 
 
 def cl_predict_incremental(fit: ClFit, t: LossRatioTriangle, i: int, k2: int) -> float:
@@ -145,7 +139,7 @@ def expected_method(t: LossRatioTriangle, i: int, expected_ultimate: float) -> R
     reserve may be negative when payments already exceed the expectation."""
     if not 1 <= i <= t.m:
         raise IndexError(f"accident year index {i} out of range 1..{t.m}")
-    s = float(t.ratios[i - 1, : t.k[i - 1]].sum())
+    s = float(t.observed_cumulative()[i - 1])
     return ReservePrediction(t.years[i - 1], "expected", float(expected_ultimate), expected_ultimate - s)
 
 

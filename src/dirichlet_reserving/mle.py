@@ -326,6 +326,8 @@ def fit_mle(t: LossRatioTriangle) -> FitResult:
 
 
 def _one(t: LossRatioTriangle) -> _Stats:
+    """``t``'s statistics as a batch of one, for the ``profiled_*`` helpers
+    and for ``bayes._Data``'s prefix-length grouping (``N``, ``L``, ``cnt``)."""
     return _Stats(np.nan_to_num(t.ratios, nan=0.0)[None], t.k)
 
 

@@ -49,12 +49,12 @@ class DirichletParams:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b_n", float(self.b_n))
         object.__setattr__(self, "phi", phi)
-        if a.ndim != 1 or a.size == 0 or np.any(a <= 0):
-            raise ValueError("every development shape parameter must be positive")
+        if a.ndim != 1 or a.size == 0 or not np.all(np.isfinite(a) & (a > 0)):
+            raise ValueError("every development shape parameter must be positive and finite")
         if not np.isfinite(self.b_n) or self.b_n < 1.0:
             raise ValueError("the tail shape parameter must be >= 1")
-        if phi.ndim != 1 or phi.size == 0 or np.any(phi <= 0):
-            raise ValueError("every accident-year scale must be positive")
+        if phi.ndim != 1 or phi.size == 0 or not np.all(np.isfinite(phi) & (phi > 0)):
+            raise ValueError("every accident-year scale must be positive and finite")
 
     @property
     def a0(self) -> float:
@@ -187,7 +187,7 @@ def predict_dirichlet(params: DirichletParams, t: LossRatioTriangle, i: int) -> 
     expectation of the cumulative ratio given the observed prefix.
     """
     k = _check_row(params, t, i)
-    s = float(t.ratios[i - 1, :k].sum())
+    s = float(t.observed_cumulative()[i - 1])
     v = credibility_weight(params, k)
     s_cl = s / dev_quota(params, k)
     s_ex = params.a0 / (params.a0 + params.b_n) * float(params.phi[i - 1])

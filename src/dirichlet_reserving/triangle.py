@@ -4,8 +4,10 @@ A triangle holds earned premiums and incremental paid losses per accident
 year (rows) and development year (columns). Only a staircase of cells is
 observed at valuation; unobserved cells are NaN. Loss ratios are losses
 divided by the accident year's premium. Both triangle classes run one set
-of checks, and :func:`prefix_sums` is the package's one sum of each row's
-observed cells.
+of checks and store every array, ``k`` included, read-only.
+:func:`prefix_sums` is the package's one paid-to-date sum, except for
+``mle._Stats.s`` (the likelihood's zero-padded sum) and the scalar oracles
+``model.row_log_density`` and ``model.sample_future_row``.
 
 Triangle CSV format: UTF-8, comma separated, header row
 ``accident_year,premium,dev_1,...,dev_n``, one data row per accident year
@@ -27,8 +29,8 @@ class TriangleError(InputError):
     """Raised on malformed triangle files or invalid triangle data."""
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
+def _freeze(a: np.ndarray, dtype=float) -> np.ndarray:
+    a = np.array(a, dtype=dtype)
     a.flags.writeable = False
     return a
 
@@ -69,7 +71,7 @@ class _Triangle:
                     f"nonpositive {noun} at accident year {self.years[i]}, "
                     f"development year {j + 1}"
                 )
-        object.__setattr__(self, "k", _freeze(k).astype(int))
+        object.__setattr__(self, "k", _freeze(k, int))
 
     @property
     def m(self) -> int:

@@ -41,6 +41,18 @@ class TestClFit:
         assert fit.prediction_se[0] == 0.0
         assert fit.ultimates[0] == pytest.approx(fit.observed[0])
 
+    @pytest.mark.parametrize("years", [10, 18])
+    def test_paid_to_date_bit_equal_observed_cumulative(self, years, request):
+        # a fully developed year's ultimate is its paid-to-date, so its
+        # zero-width interval holds the realized ultimate exactly
+        lr = request.getfixturevalue(f"lr{years}")
+        fit = dr.cl_fit(lr)
+        observed = lr.observed_cumulative()
+        assert fit.observed.tolist() == observed.tolist()
+        complete = lr.k == lr.n
+        assert complete.any()
+        assert fit.ultimates[complete].tolist() == observed[complete].tolist()
+
     def test_quota_factor_duality(self, lr10):
         fit = dr.cl_fit(lr10)
         for k in range(1, 11):

@@ -42,6 +42,14 @@ class TestParams:
             dr.DirichletParams([1.0], 0.5, [0.7])
         with pytest.raises(ValueError):
             dr.DirichletParams([1.0], 1.0, [0.0])
+        for a, phi in (
+            ([math.nan, 1.0], [0.7]),
+            ([math.inf, 1.0], [0.7]),
+            ([1.0, 1.0], [math.nan]),
+            ([1.0, 1.0], [math.inf]),
+        ):
+            with pytest.raises(ValueError):
+                dr.DirichletParams(a, 1.0, phi)
 
 
 class TestRowLogDensity:

@@ -232,8 +232,12 @@ class TestRestrict:
             dr.most_recent_years(triangle18, 40)
 
 
-def test_immutable(triangle18):
+def test_immutable(triangle18, lr18):
     with pytest.raises(ValueError):
         triangle18.losses[0, 0] = 1.0
     with pytest.raises(ValueError):
         triangle18.premiums[0] = 1.0
+    # the prefix lengths are the observed mask every fit and simulation reads
+    for t in (triangle18, lr18):
+        with pytest.raises(ValueError):
+            t.k[-1] = t.n

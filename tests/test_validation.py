@@ -168,6 +168,16 @@ class TestRunPanel:
         for y in YEARS_LAST10:
             assert agg[y].rmse == pytest.approx(row[y].rmse)
 
+    def test_cl_fully_developed_years_exact(self, panel_dir, triangle18):
+        # zero-width Chain-Ladder intervals of fully developed years hold
+        # their realized ultimates
+        rep = run_panel(panel_dir, methods=("cl",))
+        complete = [y for y, k in zip(triangle18.years, triangle18.k) if k == triangle18.n]
+        row = {r.accident_year: r for r in rep.rows}
+        assert complete
+        for y in complete:
+            assert (row[y].cov95, row[y].rmse, row[y].len95) == (1.0, 0.0, 0.0)
+
     def test_corrupt_file_isolated(self, panel_dir):
         (panel_dir / "broken.csv").write_text("not,a,triangle\n")
         rep = run_panel(panel_dir, methods=("cl",), years=10)
