@@ -214,6 +214,13 @@ def _sample_truncated_beta(alpha, beta, lo, rng):
     return u
 
 
+def _param_names(n: int, m: int) -> list:
+    """Names of the sampled parameters, in draw order: a_1..a_n, b_n,
+    phi_1..phi_m, phi_hyper."""
+    shapes = [f"a_{j}" for j in range(1, n + 1)]
+    return shapes + ["b_n"] + [f"phi_{i}" for i in range(1, m + 1)] + ["phi_hyper"]
+
+
 def _split_rhat(chains_draws: np.ndarray) -> float:
     """Potential scale reduction on split chains for one scalar parameter."""
     C, L = chains_draws.shape
@@ -395,13 +402,8 @@ def run_mcmc(t: LossRatioTriangle, spec: BayesSpec, seed: int = 0) -> PosteriorS
         block = int(np.argmax(rates.max(axis=0) == 0.0))
         raise McmcError(f"sampler diverged: block {block} accepted no proposals after warmup")
 
-    rhat = {}
-    for j in range(n):
-        rhat[f"a_{j + 1}"] = _split_rhat(A[:, :, j])
-    rhat["b_n"] = _split_rhat(B)
-    for i in range(m):
-        rhat[f"phi_{i + 1}"] = _split_rhat(PHI[:, :, i])
-    rhat["phi_hyper"] = _split_rhat(HYP)
+    columns = [A[:, :, j] for j in range(n)] + [B] + [PHI[:, :, i] for i in range(m)] + [HYP]
+    rhat = {name: _split_rhat(col) for name, col in zip(_param_names(n, m), columns)}
     worst = max(rhat, key=rhat.get)
     if spec.chains > 1 and rhat[worst] > 1.05:
         raise McmcError(f"split-chain diagnostic failed: rhat[{worst}] = {rhat[worst]:.3f}")
@@ -444,12 +446,7 @@ def posterior_predict(ps: PosteriorSample, t: LossRatioTriangle, seed: int = 0):
 
 def draws_to_csv(ps: PosteriorSample, path) -> None:
     """Write draws in long form: chain, post-warmup iteration, param, value."""
-    names = (
-        [f"a_{j + 1}" for j in range(ps.a.shape[2])]
-        + ["b_n"]
-        + [f"phi_{i + 1}" for i in range(ps.phi.shape[2])]
-        + ["phi_hyper"]
-    )
+    names = _param_names(ps.a.shape[2], ps.phi.shape[2])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("chain,iteration,param,value\n")
         for chain in range(ps.a.shape[0]):

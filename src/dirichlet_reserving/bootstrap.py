@@ -52,9 +52,9 @@ class PredictiveDistribution:
     """Replicate-level output of the predictive bootstrap.
 
     ``a_samples`` and ``phi_samples`` hold the refitted parameters per
-    replicate; ``ultimate_samples`` and ``reserve_samples`` are the per
-    accident year n-year cumulative ratio and its excess over the observed
-    cumulative. ``failed_refits`` counts resampled replicates.
+    replicate; ``ultimate_samples`` holds the per accident year n-year
+    cumulative ratio, whose excess over ``observed`` is the reserve.
+    ``failed_refits`` counts resampled replicates.
     """
 
     years: tuple
@@ -66,11 +66,6 @@ class PredictiveDistribution:
     observed: np.ndarray          # (m,)
     correction: BiasCorrection | None
     failed_refits: int
-
-    @property
-    def reserve_samples(self) -> np.ndarray:
-        """(n_sim, m) excess of each ultimate over the observed cumulative."""
-        return self.ultimate_samples - self.observed
 
 
 def bootstrap_once(
@@ -87,7 +82,7 @@ def bootstrap_once(
 _CHUNK = 128
 
 
-def refit_replicates(theta_gen, k, seed, stage, count, observed=None, error=BootstrapError):
+def refit_replicates(theta_gen, k, seed, stage, count, observed=None):
     """Simulate and refit ``count`` replicates from ``theta_gen`` with the
     observed mask ``k``, ``_CHUNK`` at a time.
 
@@ -98,7 +93,9 @@ def refit_replicates(theta_gen, k, seed, stage, count, observed=None, error=Boot
     partially developed row is not above ``observed``, simulates again
     from its own generator in the next round, so its sequence of RNG calls
     does not depend on the chunk. More than 10 failures of one replicate
-    raise ``error``, naming the lowest such index.
+    raise :class:`BootstrapError`, naming the stage (1 and 2: the
+    predictive stages; 3: the goodness-of-fit null) and the lowest such
+    replicate index.
 
     Yields ``(a, phi, sims, rngs, failures)`` per chunk, in replicate
     order: refitted shapes (R, n) and scales (R, m), the kept simulated
@@ -128,7 +125,8 @@ def refit_replicates(theta_gen, k, seed, stage, count, observed=None, error=Boot
             pending = pending[~ok]
             failures[pending] += 1
             if pending.size and failures[pending[0]] > 10:
-                raise error(f"replicate {start + pending[0]} failed to refit more than 10 times")
+                raise BootstrapError(f"stage {stage} replicate {start + pending[0]} failed to "
+                                     "refit more than 10 times")
         yield a, phi, sims, rngs, int(failures.sum())
 
 
@@ -156,7 +154,9 @@ def bias_corrected_bootstrap(
 
     Requires at least 100 replicates for stable tail quantiles. The
     componentwise correction ratio applies to shapes and scales alike;
-    the tail shape is pinned at 1 because every refit returns 1.
+    the tail shape is pinned at 1 because every refit returns 1. More than
+    10 failed refits of one replicate raise :class:`BootstrapError` naming
+    its stage, 1 or 2.
     """
     if n_sim < 100:
         raise InputError("n_sim below 100 gives unstable interval quantiles")
@@ -196,16 +196,3 @@ def summarize(pd: PredictiveDistribution, level: float = 0.95):
         point = min(max(float(sample.mean()), lo), hi)
         out.append({"accident_year": year, "point": point, "lo": lo, "hi": hi})
     return out
-
-
-def samples_to_csv(pd: PredictiveDistribution, path) -> None:
-    """Write the replicate-level ultimates in long CSV form."""
-    reserve = pd.reserve_samples
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("replicate,accident_year,ultimate_ratio,reserve_ratio\n")
-        for s in range(pd.n_sim):
-            for i, year in enumerate(pd.years):
-                fh.write(
-                    f"{s},{year},{float(pd.ultimate_samples[s, i])!r},"
-                    f"{float(reserve[s, i])!r}\n"
-                )

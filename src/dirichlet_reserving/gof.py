@@ -98,7 +98,7 @@ def gof_test(
     (seed, idx); the refits run in the bootstrap's lockstep batches
     (:func:`bootstrap.refit_replicates`) and each chunk is transformed as
     one stack, so the chunk size changes no statistic. More than 10 failed
-    refits of one replicate raise ``ConvergenceError``.
+    refits of one replicate raise ``BootstrapError`` naming stage 3.
     """
     if not 0.0 < alpha < 1.0:
         raise InputError("significance level must be inside (0, 1)")
@@ -108,7 +108,7 @@ def gof_test(
     u_obs = pit_transform(fit.theta_hat, t)
     t_obs = ks_statistic(u_obs)
 
-    batches = refit_replicates(fit.theta_hat, t.k, seed, 3, n_boot, error=mle.ConvergenceError)
+    batches = refit_replicates(fit.theta_hat, t.k, seed, 3, n_boot)
     null = np.concatenate([
         ks_statistic(_pit(a, 1.0, phi, sims, t.k, t.years)) for a, phi, sims, _, _ in batches
     ])

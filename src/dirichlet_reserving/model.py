@@ -110,19 +110,14 @@ def row_log_density(params: DirichletParams, t: LossRatioTriangle, i: int) -> fl
     s = float(y.sum())
     ck = float(a[:k].sum())
     close = a0 + b - ck  # closing shape of the unobserved remainder
-    if phi < s:
+    # at phi == s the density degenerates unless the remainder exponent vanishes
+    if phi < s or (phi == s and close != 1.0):
         return -np.inf
-    if phi == s:
-        # boundary: density degenerates unless the remainder exponent vanishes
-        return -np.inf if close != 1.0 else _row_log_density_core(a, b, a0, ck, k, y, phi, 0.0)
-    return _row_log_density_core(a, b, a0, ck, k, y, phi, (close - 1.0) * np.log1p(-s / phi))
-
-
-def _row_log_density_core(a, b, a0, ck, k, y, phi, tail_term):
-    val = log_gamma(a0 + b) - log_gamma(a[:k]).sum() - log_gamma(a0 + b - a[:k].sum())
+    tail = 0.0 if phi == s else (close - 1.0) * np.log1p(-s / phi)
+    val = log_gamma(a0 + b) - log_gamma(a[:k]).sum() - log_gamma(close)
     val += float(((a[:k] - 1.0) * np.log(y)).sum())
     val -= ck * np.log(phi)
-    return float(val + tail_term)
+    return float(val + tail)
 
 
 def total_loglik(params: DirichletParams, t: LossRatioTriangle) -> float:

@@ -58,10 +58,10 @@ class _Triangle:
         k = obs.sum(axis=1)
         for i in range(m):
             if k[i] == 0:
-                raise TriangleError(f"{name}: row {i + 1} has no observed cells")
+                raise TriangleError(f"{name}: accident year {self.years[i]} has no observed cells")
             if not obs[i, : k[i]].all():
                 raise TriangleError(
-                    f"{name}: row {i + 1} mask is not staircase-shaped "
+                    f"{name}: accident year {self.years[i]} mask is not staircase-shaped "
                     "(observed cells must form a prefix)"
                 )
         with np.errstate(invalid="ignore"):
@@ -172,7 +172,10 @@ def _read_wide_csv(path):
         if len(row) != n + 2:
             raise TriangleError(f"{path}:{lineno}: expected {n + 2} columns, got {len(row)}")
         where = f"{path}:{lineno}"
-        year = int(_parse_cell(row[0], where, "accident_year"))
+        year = _parse_cell(row[0], where, "accident_year")
+        if not year.is_integer():
+            raise TriangleError(f"{where}, accident_year: not an integer year ({row[0].strip()!r})")
+        year = int(year)
         if year in seen:
             raise TriangleError(
                 f"{where}, accident_year: accident year {year} repeats line {seen[year]}"
@@ -201,7 +204,10 @@ def load_triangle(path) -> RunOffTriangle:
     years, premiums, cells = zip(*_read_wide_csv(path))
     if list(years) != sorted(years):
         raise TriangleError(f"{path}: accident years must be ascending")
-    tri = RunOffTriangle(years, np.array(premiums), np.array(cells))
+    try:
+        tri = RunOffTriangle(years, np.array(premiums), np.array(cells))
+    except TriangleError as exc:
+        raise TriangleError(f"{path}: {exc}") from None
 
     m = tri.m
     for i in range(m):

@@ -133,24 +133,21 @@ def evaluate(predictions, actuals) -> EvalReport:
                 p.hi - p.lo,
             )
         )
+    # |d|**2 == d**2 bit for bit, so the rows' absolute deviations serve
     groups = {}
-    for p, r in zip(preds, rows):
-        groups.setdefault((p.accident_year, p.method), []).append(
-            (actuals[(p.insurer, p.accident_year)] - p.point, r.cov95, r.len95)
+    for r in rows:
+        groups.setdefault((r.method, r.accident_year), []).append(r)
+    aggregates = [
+        EvalRow(
+            "ALL",
+            year,
+            method,
+            float(np.sqrt(np.mean(np.array([r.rmse for r in group]) ** 2))),
+            float(np.mean([r.cov95 for r in group])),
+            float(np.mean([r.len95 for r in group])),
         )
-    aggregates = []
-    for (year, method), vals in sorted(groups.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-        dev = np.array([v[0] for v in vals])
-        aggregates.append(
-            EvalRow(
-                "ALL",
-                year,
-                method,
-                float(np.sqrt(np.mean(dev**2))),
-                float(np.mean([v[1] for v in vals])),
-                float(np.mean([v[2] for v in vals])),
-            )
-        )
+        for (method, year), group in sorted(groups.items())
+    ]
     return EvalReport(tuple(rows), tuple(aggregates), ())
 
 
@@ -231,9 +228,3 @@ def report_lines(report: EvalReport) -> list:
         f"{float(r.rmse)!r},{float(r.cov95)!r},{float(r.len95)!r}"
         for r in report.rows + report.aggregates
     ]
-
-
-def report_to_csv(report: EvalReport, path) -> None:
-    """Write per-insurer rows then aggregate rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join([REPORT_HEADER, *report_lines(report)]) + "\n")

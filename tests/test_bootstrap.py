@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import dirichlet_reserving as dr
-from dirichlet_reserving import bootstrap
-from dirichlet_reserving.bootstrap import summarize, samples_to_csv
+from dirichlet_reserving import bootstrap, mle
+from dirichlet_reserving.bootstrap import BootstrapError, summarize
 from dirichlet_reserving.cli import main
 from dirichlet_reserving.mle import ConvergenceError
+from dirichlet_reserving.model import simulate_masked
 
 from conftest import BOOT_NSIM, BOOT_SEED, REF_INT_DIR_10, REF_INT_DIR_18, REF_SE_A1_10
 
@@ -101,7 +102,6 @@ class TestBiasCorrection:
         observed = lr18.observed_cumulative()
         partial = lr18.k < lr18.n
         assert np.all(pd.ultimate_samples[:, partial] > observed[partial])
-        assert np.all(pd.reserve_samples[:, partial] > 0)
 
     def test_degenerate_fully_observed(self):
         rng = np.random.default_rng(43)
@@ -109,7 +109,7 @@ class TestBiasCorrection:
         t = dr.LossRatioTriangle(range(2000, 2004), np.ones(4), grid)
         fit = dr.fit_mle(t)
         pd = dr.bias_corrected_bootstrap(fit.theta_hat, t, n_sim=100, seed=1)
-        np.testing.assert_array_equal(pd.reserve_samples, 0.0)
+        np.testing.assert_array_equal(pd.ultimate_samples - pd.observed, 0.0)
         for rec in summarize(pd, 0.95):
             assert rec["lo"] == rec["hi"]
             assert rec["point"] == pytest.approx(rec["lo"], abs=1e-14)
@@ -129,15 +129,29 @@ class TestReproducibility:
 
 
 class TestReplicateEngine:
-    def test_lockstep_refits_equal_one_at_a_time(self, lr18, fit18):
-        # at seed 11 one of the first 100 stage-1 refits at 18 years fails
-        # once and is redrawn from its own stream
-        theta, seed = fit18.theta_hat, 11
-        ((a, phi, _, _, failures),) = bootstrap.refit_replicates(theta, lr18.k, seed, 1, 100)
-        assert failures == 1
+    def test_lockstep_refits_equal_one_at_a_time(self, lr18, fit18, monkeypatch):
+        # the first attempt of each forced replicate is reported unconverged,
+        # so it is redrawn from its own stream whatever the last bits do
+        theta, seed, forced = fit18.theta_hat, 11, [0, 41, 99]
+        real, rounds = mle._fit_batch, []
+
+        def fail_first_attempt(ratios, k):
+            *out, ok = real(ratios, k)
+            if not rounds:  # the first round holds every replicate in order
+                ok[forced] = False
+            rounds.append(len(ratios))
+            return (*out, ok)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(mle, "_fit_batch", fail_first_attempt)
+            ((a, phi, _, _, failures),) = bootstrap.refit_replicates(theta, lr18.k, seed, 1, 100)
+        assert rounds[0] == 100 and failures >= len(forced)
         retries = 0
         for idx in range(100):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1, idx)))
+            if idx in forced:
+                simulate_masked(theta, lr18.k, rng)  # the discarded first attempt
+                retries += 1
             while True:
                 try:
                     refit = dr.bootstrap_once(theta, lr18, rng)
@@ -147,6 +161,23 @@ class TestReplicateEngine:
             np.testing.assert_array_equal(refit.a, a[idx])
             np.testing.assert_array_equal(refit.phi, phi[idx])
         assert retries == failures
+
+    def test_retry_limit_names_stage_and_replicate(self, lr10, fit10, monkeypatch, capsys):
+        real = mle._fit_batch
+
+        def never_converges(ratios, k):
+            *out, ok = real(ratios, k)
+            return (*out, np.zeros_like(ok))
+
+        monkeypatch.setattr(mle, "_fit_batch", never_converges)
+        monkeypatch.setattr(mle, "fit_mle", lambda t: fit10)
+        with pytest.raises(BootstrapError, match="stage 1 replicate 0 failed"):
+            dr.bias_corrected_bootstrap(fit10.theta_hat, lr10, n_sim=100, seed=0)
+        with pytest.raises(BootstrapError, match="stage 3 replicate 0 failed"):
+            dr.gof_test(lr10, n_boot=20, seed=0)
+        argv = ["gof", "--triangle", str(dr.example_insurer_path()), "--years", "10", "--nboot", "20"]
+        assert main(argv) == 1
+        assert "stage 3 replicate 0 failed" in capsys.readouterr().err
 
     def test_retried_replicates_are_seed_deterministic(self, lr18, fit18):
         a = dr.bias_corrected_bootstrap(fit18.theta_hat, lr18, n_sim=100, seed=0)
@@ -193,16 +224,6 @@ class TestSummarize:
     def test_level_validation(self, boot10):
         with pytest.raises(ValueError):
             summarize(boot10[0], 1.0)
-
-    def test_csv_export(self, boot10, tmp_path):
-        pd, _ = boot10
-        path = tmp_path / "samples.csv"
-        samples_to_csv(pd, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "replicate,accident_year,ultimate_ratio,reserve_ratio"
-        assert len(lines) == 1 + BOOT_NSIM * 10
-        first = lines[1].split(",")
-        assert first[0] == "0" and first[1] == "1997"
 
 
 def test_seed_metadata(boot10):

@@ -8,6 +8,7 @@ import pkgutil
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +63,25 @@ class TestFit:
         code = run(["fit", "--triangle", tmp_path / "absent.csv"])
         assert code == 2
         assert "absent.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, column, token, message", [
+        (3, 1, "-168293", "nonpositive premium for accident year 1990"),
+        (4, 3, "-39354", "nonpositive incremental loss at accident year 1991, development year 2"),
+        (5, 4, "", "losses: accident year 1992 mask is not staircase-shaped"),
+        (2, 0, "1989.7", ":2, accident_year: not an integer year ('1989.7')"),
+    ], ids=["premium", "cell", "gap", "year"])
+    def test_bad_triangle_names_file(self, fixture_path, tmp_path, capsys, line, column, token,
+                                     message):
+        # a copy of the bundled triangle with one field replaced
+        lines = Path(fixture_path).read_text().splitlines()
+        fields = lines[line - 1].split(",")
+        fields[column] = token
+        lines[line - 1] = ",".join(fields)
+        path = tmp_path / "edited.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert run(["fit", "--triangle", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}") and message in err
 
     def test_bad_years(self, fixture_path, capsys):
         assert run(["fit", "--triangle", fixture_path, "--years", "99"]) == 2

@@ -10,9 +10,10 @@ import dirichlet_reserving as dr
 from dirichlet_reserving.triangle import TriangleError
 from dirichlet_reserving.validation import (
     EvalReport,
+    REPORT_HEADER,
     PredictionRecord,
     realized_ultimates,
-    report_to_csv,
+    report_lines,
     run_panel,
 )
 
@@ -188,11 +189,9 @@ class TestRunPanel:
         with pytest.raises(TriangleError):
             run_panel(tmp_path / "nothing")
 
-    def test_csv_export(self, panel_dir, tmp_path):
+    def test_csv_export(self, panel_dir):
         rep = run_panel(panel_dir, methods=("cl",), years=10)
-        out = tmp_path / "report.csv"
-        report_to_csv(rep, out)
-        lines = out.read_text().splitlines()
+        lines = [REPORT_HEADER, *report_lines(rep)]
         assert lines[0] == "insurer,accident_year,method,rmse,cov95,len95"
         assert len(lines) == 1 + 2 * len(YEARS_LAST10)
         assert lines[-1].startswith("ALL,")

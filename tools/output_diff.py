@@ -10,8 +10,9 @@ the same paths: the configuration headers of the outputs embed them. Then
 each tree runs the same fixed list of CLI calls, writing into
 ``DIR/out/base`` and ``DIR/out/head``:
 
-* ``fit``, ``benchmark --elr 0.75`` and ``predict --method cl|bf|mle-boot``
-  (``bf`` at ``--elr 0.75``), each at ``--years 10`` and ``all``;
+* ``fit``, ``benchmark --elr 0.75`` and ``predict --method
+  cl|bf|expected|mle-boot`` (``bf`` and ``expected`` at ``--elr 0.75``),
+  each at ``--years 10`` and ``all``;
 * ``gof --years 10``;
 * ``bayes`` at the one-chain configuration of ``perfbench/run.py``
   (``--tail-alpha 0.19 --iterations 12000 --warmup 3000 --chains 1``,
@@ -20,7 +21,9 @@ each tree runs the same fixed list of CLI calls, writing into
 
 Every other call runs at seed 0. For each output file it prints
 ``identical``, or the count of numbers that moved and the largest absolute
-difference among them, or that the text around the numbers differs.
+difference among them, or that the text around the numbers differs. It
+exits 1 when any file is not ``identical`` or any exit code differs, and
+0 otherwise.
 """
 
 from __future__ import annotations
@@ -49,8 +52,8 @@ def calls(panel: Path, out: Path) -> list:
         common = [*tri, "--years", y, "--seed", "0"]
         runs.append(([f"fit_{y}.json"], ["fit", *common]))
         runs.append(([f"benchmark_{y}.json"], ["benchmark", *common, "--elr", "0.75"]))
-        for method in ("cl", "bf", "mle-boot"):
-            elr = ["--elr", "0.75"] if method == "bf" else []
+        for method in ("cl", "bf", "expected", "mle-boot"):
+            elr = ["--elr", "0.75"] if method in ("bf", "expected") else []
             runs.append(([f"predict_{method}_{y}.csv"], ["predict", *common, "--method", method, *elr]))
         runs.append(([f"validate_{y}.csv"], ["validate", "--panel", str(panel), "--years", y,
                                             "--seed", "0"]))
@@ -112,12 +115,16 @@ def main(argv=None) -> int:
 
     outs = {side: workdir / "out" / side for side in trees}
     codes = {side: run_tree(trees[side], panel, outs[side]) for side in trees}
+    same = True
     for files, _ in calls(panel, outs["head"]):
         if codes["base"][files[0]] != codes["head"][files[0]]:
             print(f"{files[0]}: exit {codes['base'][files[0]]} -> {codes['head'][files[0]]}")
+            same = False
         for name in files:
-            print(f"{name}: {compare(outs['base'] / name, outs['head'] / name)}")
-    return 0
+            verdict = compare(outs["base"] / name, outs["head"] / name)
+            print(f"{name}: {verdict}")
+            same &= verdict == "identical"
+    return 0 if same else 1
 
 
 if __name__ == "__main__":
