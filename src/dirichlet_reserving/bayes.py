@@ -11,7 +11,7 @@ draws near a cap are flagged.
 Sampling is Metropolis within Gibbs: random-walk blocks on log shapes and
 the log tail-shape excess over its lower bound, with step adaptation in
 warmup only; each scale is an exact draw of a Beta truncated above
-s_i/phi_hyper, whose fallback inverts ``special.regularized_incomplete_beta``.
+s_i/phi_hyper, by plain rejection with an exact envelope-rejection fallback.
 
 Every block evaluates one total log-likelihood, grouped by observed prefix
 length (see ``_Data``): the scales enter it only through two sums per
@@ -32,7 +32,6 @@ from . import mle
 from .bootstrap import PredictiveDistribution
 from .errors import InputError, NumericalError
 from .model import unpaid_totals
-from .special import regularized_incomplete_beta
 from .triangle import LossRatioTriangle
 
 # the tail shape's cap, as a multiple of the development shapes' total
@@ -60,8 +59,8 @@ class BayesSpec:
     def __post_init__(self):
         if self.tail_alpha is not None and not 0.0 <= self.tail_alpha < 1.0:
             raise InputError("tail_alpha must lie in [0, 1)")
-        if self.iterations <= self.warmup:
-            raise InputError("iterations must exceed warmup")
+        if self.iterations - self.warmup < 4:  # the split R-hat needs 4 kept draws
+            raise InputError("iterations must exceed warmup by at least 4")
         if self.warmup < 1 or self.chains < 1:
             raise InputError("need warmup >= 1 and chains >= 1")
         if not 0.0 < self.phi_hyper_cap < np.inf:
@@ -69,9 +68,7 @@ class BayesSpec:
 
     @property
     def tail_ratio(self) -> float:
-        if self.tail_alpha is None:
-            return 0.0
-        return self.tail_alpha / (1.0 - self.tail_alpha)
+        return 0.0 if self.tail_alpha is None else self.tail_alpha / (1.0 - self.tail_alpha)
 
 
 @dataclass(frozen=True)
@@ -187,8 +184,12 @@ def _sample_truncated_beta(alpha, beta, lo, rng):
     """Vector of Beta(alpha_i, beta_i) draws conditioned on u_i > lo_i.
 
     Plain rejection covers the common case where the truncation point sits
-    below the Beta bulk; components still rejected after 50 redraws fall
-    back to inverse-CDF sampling, bisecting in lockstep to 1e-14 brackets.
+    below the Beta bulk. Components still rejected after 50 redraws take exact
+    envelope rejection in lockstep (Devroye 1986, ch. VII): as beta >= 1, the
+    log density h(v) = (alpha-1) ln v + (beta-1) ln(1-v) lies on (lo, 1) below
+    the line through h(lo) of slope max(alpha-1, 0)/lo - (beta-1)/(1-lo), so a
+    round proposes lo + e, e from that line's exponential truncated to
+    (0, 1-lo), and keeps it with probability exp(h - line).
     """
     if (alpha <= 0.0).any():
         raise McmcError("degenerate scale conditional: a shape prefix sum fell below 1")
@@ -199,24 +200,25 @@ def _sample_truncated_beta(alpha, beta, lo, rng):
             return u
         u[bad] = rng.beta(alpha[bad], beta[bad])
         bad = u <= lo
-    a_bad, b_bad, left = alpha[bad], beta[bad], lo[bad]
-    right = np.ones(left.size)
-    base = regularized_incomplete_beta(left, a_bad, b_bad)
-    target = base + rng.random(left.size) * (1.0 - base)
-    live = np.arange(left.size)
+    live = np.flatnonzero(bad)
     while live.size:
-        mid = 0.5 * (left[live] + right[live])
-        below = regularized_incomplete_beta(mid, a_bad[live], b_bad[live]) < target[live]
-        left[live[below]] = mid[below]
-        right[live[~below]] = mid[~below]
-        live = live[right[live] - left[live] >= 1e-14]
-    u[bad] = 0.5 * (left + right)
+        a1, b1, x, w = alpha[live] - 1.0, beta[live] - 1.0, lo[live], 1.0 - lo[live]
+        slope = np.maximum(a1, 0.0) / x - b1 / w
+        # e = w t, t inverted from the line's low end; a zero slope is uniform
+        fall, p = -np.abs(slope * w), rng.random(live.size)
+        with np.errstate(divide="ignore", invalid="ignore"):  # t = 0 or 1 fails `ok`
+            t = np.where(fall < 0.0, np.log1p(p * np.expm1(fall)) / fall, p)
+            t = np.where(slope > 0.0, 1.0 - t, t)
+            gap = a1 * np.log1p(w * t / x) + b1 * np.log1p(-t) - slope * w * t
+        v = x + w * t
+        ok = (rng.random(live.size) < np.exp(gap)) & (v > x) & (v < 1.0)
+        u[live[ok]] = v[ok]
+        live = live[~ok]
     return u
 
 
 def _param_names(n: int, m: int) -> list:
-    """Names of the sampled parameters, in draw order: a_1..a_n, b_n,
-    phi_1..phi_m, phi_hyper."""
+    """Sampled parameter names in draw order: a_j, b_n, phi_i, phi_hyper."""
     shapes = [f"a_{j}" for j in range(1, n + 1)]
     return shapes + ["b_n"] + [f"phi_{i}" for i in range(1, m + 1)] + ["phi_hyper"]
 
@@ -364,7 +366,7 @@ def run_mcmc(t: LossRatioTriangle, spec: BayesSpec, seed: int = 0) -> PosteriorS
                     acc[jt] += 1
             # per-year scales: the conditional of u_i = s_i / phi_i is a
             # Beta(c_k - 1, a0 + b - c_k) truncated to u_i > s_i / hyper,
-            # drawn exactly (rejection with a lockstep inverse-CDF fallback)
+            # drawn exactly (rejection with a lockstep envelope fallback)
             close = a0 + b - ck
             lo_u = data.s / hyp
             u = _sample_truncated_beta(ck - 1.0, close, lo_u, rng)
@@ -416,9 +418,7 @@ def run_mcmc(t: LossRatioTriangle, spec: BayesSpec, seed: int = 0) -> PosteriorS
 
     blocks = [f"a_{j + 1}" for j in range(n)] + ["a_scale", "b_n", "tail_scale"]
     acc_out = {name: rates[:, jj].tolist() for jj, name in enumerate(blocks)}
-    return PosteriorSample(
-        t.years, seed, spec, A, B, PHI, HYP, acc_out, rhat, tuple(warn)
-    )
+    return PosteriorSample(t.years, seed, spec, A, B, PHI, HYP, acc_out, rhat, tuple(warn))
 
 
 def posterior_predict(ps: PosteriorSample, t: LossRatioTriangle, seed: int = 0):

@@ -5,10 +5,10 @@ structured results are written as JSON, tabular output as CSV with the
 resolved configuration embedded in ``#`` comment lines; re-running with
 the same configuration reproduces output files byte for byte.
 
-Check first: :func:`_check` rejects every bad option value and unwritable
-output before any work starts, creating no file. Then the seed is resolved
-(falling back to the RESERVE_SEED environment variable), the triangle is
-loaded and cut to ``--years`` once, and the subcommand runs as
+Check first: :func:`_check` resolves the seed (falling back to the
+RESERVE_SEED environment variable) and rejects every bad option value and
+unwritable output before any work starts, creating no file. Then the
+triangle is loaded and cut to ``--years`` once, and the subcommand runs as
 ``cmd(args, lr)``, building its configuration with :func:`_config`.
 
 Exit status: 0 on success; 2 on an ``errors.InputError`` (bad arguments or
@@ -48,6 +48,7 @@ RANGES = {
     "nsim": (lambda v: v >= 100, "at least 100"),
     "nboot": (lambda v: v >= 1, "at least 1"),
     "elr": (lambda v: v is None or 0.0 < v < np.inf, "positive and finite"),
+    "seed": (lambda v: v >= 0, "non-negative (from the flag or RESERVE_SEED)"),
 }
 
 
@@ -62,13 +63,14 @@ def _need(ok, message):
 
 def _check(args):
     """Reject bad option values and unwritable outputs before any work,
-    creating no file; parse ``--years`` (None for 'all') and ``--methods``."""
+    creating no file; resolve the seed, parse ``--years`` and ``--methods``."""
     if args.years in (None, "all"):
         args.years = None
     else:
         positive = args.years.isdecimal() and int(args.years) >= 1
         _need(positive, f"--years must be a positive integer or 'all', got {args.years!r}")
         args.years = int(args.years)
+    args.seed = _resolve_seed(args)
     for name, (ok, what) in RANGES.items():
         if hasattr(args, name):
             value = getattr(args, name)
@@ -82,6 +84,8 @@ def _check(args):
         _spec(args)
     if args.subcommand == "bayes":
         _need(args.out is not None, "bayes requires --out for the draws CSV")
+        same = args.predict_out and os.path.abspath(args.predict_out) == os.path.abspath(args.out)
+        _need(not same, f"--out and --predict-out name the same file {args.out}")
     if args.subcommand == "validate":
         methods = tuple(tok.strip() for tok in args.methods.split(",") if tok.strip())
         known = validation.PANEL_METHODS
@@ -322,7 +326,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _check(args)
-        args.seed = _resolve_seed(args)
         lr = None if args.subcommand == "validate" else _load(args)
         args.func(args, lr)
         return 0

@@ -59,6 +59,10 @@ class TestSpecValidation:
             dr.BayesSpec(tail_alpha=1.0)
         with pytest.raises(ValueError):
             dr.BayesSpec(iterations=100, warmup=100)
+        # fewer than 4 kept draws leave the split R-hat undefined (NaN)
+        with pytest.raises(dr.InputError, match="at least 4"):
+            dr.BayesSpec(iterations=1003, warmup=1000)
+        assert dr.BayesSpec(iterations=1004, warmup=1000).iterations == 1004
         with pytest.raises(ValueError):
             dr.BayesSpec(chains=0)
         for cap in (0.0, -1.0, float("inf"), float("nan")):
@@ -171,23 +175,36 @@ class TestTruncatedBeta:
         want = np.array(want[:20000])
         assert abs(u.mean() - want.mean()) < 4 * want.std() / math.sqrt(want.size) + 4 * u.std() / math.sqrt(u.size)
 
-    def test_deep_truncation_falls_back_to_inversion(self):
+    def test_deep_truncation_falls_back_to_envelope(self):
         rng = np.random.default_rng(73)
         u = _sample_truncated_beta(
             np.array([5.0]), np.array([50.0]), np.array([0.6]), rng
         )
         assert u[0] > 0.6  # far above the Beta bulk near 0.09
 
-    def test_lockstep_inversion_matches_truncated_cdf(self):
-        # every component lies far above the Beta(5, 50) bulk, so all of
-        # them reach the inverse-CDF fallback in one call
+    @pytest.mark.parametrize("alpha, beta, tail_mass, lo", [
+        (5.0, 50.0, None, 0.3),
+        (300.0, 200.0, 1e-1, None),
+        (300.0, 200.0, 1e-3, None),
+        (300.0, 200.0, 1e-6, None),
+        (300.0, 200.0, 1e-9, None),
+        (150.0, 400.0, 1e-9, None),
+        (0.7, 3.0, 1e-9, None),  # alpha < 1: the line drops the ln v term
+        (0.5, 1.0, None, 0.999999),  # zero slope: a uniform proposal
+    ], ids=["5-50-lo0.3", "300-200-tail1e-1", "300-200-tail1e-3", "300-200-tail1e-6",
+            "300-200-tail1e-9", "150-400-tail1e-9", "0.7-3-tail1e-9", "0.5-1-lo0.999999"])
+    def test_lockstep_envelope_matches_truncated_cdf(self, alpha, beta, tail_mass, lo):
+        # at small tail masses every component lies far above the Beta bulk,
+        # so all of them reach the envelope fallback in one call
         stats = pytest.importorskip("scipy.stats")
-        size, lo = 2000, 0.3
+        if lo is None:
+            lo = stats.beta.isf(tail_mass, alpha, beta)
+        size = 2000
         rng = np.random.default_rng(74)
-        u = _sample_truncated_beta(np.full(size, 5.0), np.full(size, 50.0), np.full(size, lo), rng)
-        assert np.all(u > lo)
-        tail = stats.beta.sf(lo, 5.0, 50.0)
-        cdf = lambda v: (tail - stats.beta.sf(v, 5.0, 50.0)) / tail
+        u = _sample_truncated_beta(np.full(size, alpha), np.full(size, beta), np.full(size, lo), rng)
+        assert np.all((u > lo) & (u < 1.0))
+        tail = stats.beta.sf(lo, alpha, beta)
+        cdf = lambda v: (tail - stats.beta.sf(v, alpha, beta)) / tail
         assert stats.kstest(u, cdf).pvalue > 0.01
 
 
@@ -265,15 +282,14 @@ class TestRunMcmc:
 
 class TestPosteriorPredict:
     @staticmethod
-    def constant_sample(theta, t, draws=20000):
+    def constant_sample(theta, t, draws=20000, chains=1):
         """Posterior sample concentrated at a single parameter point."""
-        n, m = theta.a.size, theta.phi.size
-        a = np.tile(theta.a, (1, draws, 1))
-        b = np.full((1, draws), theta.b_n)
-        phi = np.tile(theta.phi, (1, draws, 1))
-        hyp = np.full((1, draws), float(theta.phi.max()) * 2.0)
+        a = np.tile(theta.a, (chains, draws, 1))
+        b = np.full((chains, draws), theta.b_n)
+        phi = np.tile(theta.phi, (chains, draws, 1))
+        hyp = np.full((chains, draws), float(theta.phi.max()) * 2.0)
         return dr.PosteriorSample(
-            t.years, 0, dr.BayesSpec(iterations=2, warmup=1, chains=1),
+            t.years, 0, dr.BayesSpec(iterations=5, warmup=1, chains=chains),
             a, b, phi, hyp, {}, {},
         )
 
@@ -301,12 +317,17 @@ class TestPosteriorPredict:
         assert abs(got.mean() - want) < 4 * se
 
     def test_draw_count_and_flattening(self):
+        # 2 chains x 2000 kept draws, built directly: the sampler's R-hat
+        # gate is not what this test is about
         t = synthetic_small()
-        spec = small_spec(iterations=6000, warmup=4000)
-        ps = dr.run_mcmc(t, spec, seed=16)
+        theta = dr.DirichletParams(np.array([20.0, 10.0, 5.0]), 1.5, t.observed_cumulative() * 1.3)
+        ps = self.constant_sample(theta, t, draws=2000, chains=2)
+        ps.phi[1] *= 1.1  # tell the chains apart
         pd = dr.posterior_predict(ps, t, seed=16)
         assert pd.n_sim == ps.n_draws == 2 * 2000
         assert pd.ultimate_samples.shape == (4000, t.m)
+        # chain by chain, in draw order
+        np.testing.assert_array_equal(pd.phi_samples, ps.phi.reshape(4000, t.m))
 
     @pytest.mark.xfail(strict=True, reason=RIDGE_REASON)
     def test_reference_interval_width_without_tail_constraint(self, lr18):
@@ -342,7 +363,8 @@ class TestExchangeability:
         t_perm = dr.LossRatioTriangle(
             [t.years[i] for i in order], t.premiums[order], t.ratios[order]
         )
-        spec = small_spec(iterations=4000, warmup=1500)
+        # one chain per side: the split R-hat gate is not what this tests
+        spec = small_spec(iterations=4000, warmup=1500, chains=1)
         ps = dr.run_mcmc(t, spec, seed=19)
         ps_perm = dr.run_mcmc(t_perm, spec, seed=19)
         base_phi = ps.phi.reshape(-1, m).mean(axis=0)

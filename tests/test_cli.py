@@ -235,6 +235,17 @@ class TestSeedFallback:
         monkeypatch.setenv("RESERVE_SEED", "not-a-number")
         assert run(["fit", "--triangle", fixture_path, "--years", "10"]) == 2
 
+    def test_negative_env_seed_exits_before_work(self, fixture_path, monkeypatch, capsys):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started with a negative seed")
+
+        monkeypatch.setattr(dr.mle, "fit_mle", forbidden)
+        monkeypatch.setenv("RESERVE_SEED", "-4")
+        assert run(["gof", "--triangle", fixture_path, "--years", "10"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seed must be non-negative")
+        assert "RESERVE_SEED" in err and "-4" in err
+
 
 def test_console_entry_point(fixture_path):
     proc = subprocess.run(
@@ -277,6 +288,11 @@ BAD_ARGUMENTS = [
     (["fit", "--triangle", "{tri}", "--out", "{out}"], "--out"),
     (["bayes", "--triangle", "{tri}", "--out", "{out}/d.csv",
       "--predict-out", "{out}/missing/p.csv"], "--predict-out"),
+    (["bayes", "--triangle", "{tri}", "--out", "{out}/d.csv",
+      "--predict-out", "{out}/./d.csv"], "--predict-out"),
+    (["bayes", "--triangle", "{tri}", "--years", "10", "--iterations", "1003", "--warmup", "1000",
+      "--chains", "2", "--out", "{out}/d.csv"], "--iterations"),
+    (["gof", "--triangle", "{tri}", "--seed", "-1"], "--seed"),
 ]
 
 
