@@ -194,8 +194,8 @@ class TestTruncatedBeta:
     ], ids=["5-50-lo0.3", "300-200-tail1e-1", "300-200-tail1e-3", "300-200-tail1e-6",
             "300-200-tail1e-9", "150-400-tail1e-9", "0.7-3-tail1e-9", "0.5-1-lo0.999999"])
     def test_lockstep_envelope_matches_truncated_cdf(self, alpha, beta, tail_mass, lo):
-        # at small tail masses every component lies far above the Beta bulk,
-        # so all of them reach the envelope fallback in one call
+        # at tail masses of 1e-3 and below nearly every component misses its
+        # 50 plain redraws, so the envelope draws them in one lockstep call
         stats = pytest.importorskip("scipy.stats")
         if lo is None:
             lo = stats.beta.isf(tail_mass, alpha, beta)
