@@ -13,18 +13,21 @@ the log tail-shape excess over its lower bound, with step adaptation in
 warmup only; each scale is an exact draw of a Beta truncated above
 s_i/phi_hyper, by plain rejection with an exact envelope-rejection fallback.
 
-Every block evaluates one total log-likelihood, grouped by observed prefix
-length (see ``_Data``): the scales enter it only through two sums per
-prefix length, recomputed when the scales move, so the shape and tail
-blocks cost at most 2n + 1 ``math.lgamma`` calls in plain floats. The
-scalar ``model.total_loglik`` is the oracle the tests hold it to.
+The total log-likelihood is grouped by observed prefix length (see
+``_Data``), and each chain carries its terms, so a block pays only for the
+``math.lgamma`` terms its move changes: 2 + j for the shape a_(j+1), 1 + G
+for the tail and ridge blocks (G prefix lengths), n + 1 + G for the joint
+rescaling, none for the scale draw. ``_Data.loglik`` is the from-scratch
+oracle of the carried total, and the scalar ``model.total_loglik`` its own.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
-from math import lgamma
+from math import lgamma, log
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -59,6 +62,9 @@ class BayesSpec:
     def __post_init__(self):
         if self.tail_alpha is not None and not 0.0 <= self.tail_alpha < 1.0:
             raise InputError("tail_alpha must lie in [0, 1)")
+        if self.tail_alpha is not None and self.tail_alpha >= TAIL_SHAPE_CAP_MULT / (1.0 + TAIL_SHAPE_CAP_MULT):
+            raise InputError(f"tail_alpha {self.tail_alpha} leaves the tail shape no support below its "
+                             f"cap: tail_alpha/(1 - tail_alpha) must stay below {TAIL_SHAPE_CAP_MULT:g}")
         if self.iterations - self.warmup < 4:  # the split R-hat needs 4 kept draws
             raise InputError("iterations must exceed warmup by at least 4")
         if self.warmup < 1 or self.chains < 1:
@@ -116,8 +122,17 @@ class _Data:
     log ratios in that year, const = sum_j L_j, and P_k and Q_k sum
     ln(phi_i) and log1p(-s_i/phi_i) over the rows of group k. Only P and Q
     depend on the scales, so :meth:`phi_sums` recomputes them when the
-    scales move, and :meth:`loglik` is n + 1 + len(kidx) ``math.lgamma``
-    calls in plain floats.
+    scales move. :meth:`loglik` evaluates the total from scratch, in
+    n + 1 + G ``math.lgamma`` calls (G = len(kidx)) in plain floats.
+
+    A chain carries the terms of its current state instead: lnG(a_j),
+    lnG(a0+b), each group's closing shape a0+b-c_k and its lnG, and per year j
+    the coefficient L_j + sum_{kidx<j} Q_k - sum_{kidx>=j} P_k of a move of a_j.
+    A proposal returns its total and keeps its terms until :meth:`accept`;
+    ``ll`` is the current total. As a move of a_j leaves a0+b-c_k alone for
+    every group that observes year j, :meth:`shape` pays 2 + (groups closing
+    before j) lgamma calls, :meth:`move` 1 + G (n more with new shapes) and
+    :meth:`scales` none.
     """
 
     def __init__(self, t: LossRatioTriangle):
@@ -131,6 +146,7 @@ class _Data:
         self.N = stats.N.tolist()
         self.L = stats.L[0].tolist()
         self.const = float(stats.L[0].sum())
+        self.before = [bisect_left(self.kidx, j) for j in range(self.n)]  # groups closing before j
 
     def phi_sums(self, phi):
         """Per-group sums (P, Q) of ln(phi_i) and log1p(-s_i/phi_i)."""
@@ -151,6 +167,69 @@ class _Data:
             close = ab - c[j]
             val += (close - 1.0) * q - c[j] * p - cnt * lgamma(close)
         return val
+
+    def accept(self):
+        """Make the last proposal the current state."""
+        self._commit()
+
+    def shape(self, j, aj) -> float:
+        """Total with a_j moved to aj."""
+        d, g = aj - self.a[j], self.before[j]
+        ab, lgaj = self.ab + d, lgamma(aj)
+        lg = [lgamma(y + d) for y in self.close[:g]]
+        lgab = lgamma(ab)
+        ll = (self.ll + self.m * (lgab - self.lgab) - self.N[j] * (lgaj - self.lga[j])
+              + d * self.coef[j] - sum(map(mul, self.cnt, map(sub, lg, self.lg))))
+        self._new, self._commit = (j, aj, d, lgaj, ab, lgab, lg, ll), self._take_shape
+        return ll
+
+    def _take_shape(self):
+        j, self.a[j], d, self.lga[j], self.ab, self.lgab, lg, self.ll = self._new
+        self.close[:len(lg)], self.lg[:len(lg)] = [y + d for y in self.close[:len(lg)]], lg
+        self.at[j] = self.a[j] * self.L[j] - self.N[j] * self.lga[j]
+        self.shp = sum(self.at) - self.const  # sum_j (a_j L_j - N_j lnG(a_j)) - const
+
+    def move(self, b, a=None, sums=None) -> float:
+        """Total with the tail shape moved to b and, when given, the shapes to a
+        and the scale sums to ``sums``."""
+        new = self._new = {"b": b}
+        if a is None:
+            a, shp = self.a, self.shp
+        else:
+            a = a.tolist()
+            lga = list(map(lgamma, a))
+            at = list(map(sub, map(mul, a, self.L), map(mul, self.N, lga)))
+            shp = sum(at) - self.const
+            new.update(a=a, lga=lga, at=at, shp=shp)
+        if sums is None:
+            sums = self.P, self.Q
+        else:
+            new["P"], new["Q"] = sums
+        c = list(accumulate(a))
+        ab = new["ab"] = c[-1] + b
+        close = new["close"] = [ab - c[k] for k in self.kidx]
+        lg = new["lg"] = list(map(lgamma, close))
+        lgab = new["lgab"] = lgamma(ab)
+        ll = new["ll"] = self._total(shp, ab, lgab, close, lg, *sums)
+        self._commit = self._take
+        return ll
+
+    def _take(self):
+        vars(self).update(self._new)
+        if "P" in self._new:  # the shape moves' coefficients follow the scale sums
+            self.scales((self.P, self.Q))
+
+    def scales(self, sums):
+        """Take new scale sums, a Gibbs draw that is always kept."""
+        self.P, self.Q = sums
+        w = list(accumulate(map(add, *sums), initial=-sum(self.P)))  # sum_{k<g} Q_k - sum_{k>=g} P_k
+        self.coef = [Lj + w[g] for Lj, g in zip(self.L, self.before)]
+        self.ll = self._total(self.shp, self.ab, self.lgab, self.close, self.lg, *sums)
+
+    def _total(self, shp, ab, lgab, close, lg, P, Q) -> float:
+        # sum_k (close_k - 1) Q_k - (ab - close_k) P_k - cnt_k lnG(close_k), in maps
+        return (shp + self.m * lgab + sum(map(mul, close, map(add, P, Q))) - sum(Q) - ab * sum(P)
+                - sum(map(mul, self.cnt, lg)))
 
 
 def _support_lower(a0: float, tail_ratio: float) -> float:
@@ -191,12 +270,12 @@ def _sample_truncated_beta(alpha, beta, lo, rng):
     round proposes lo + e, e from that line's exponential truncated to
     (0, 1-lo), and keeps it with probability exp(h - line).
     """
-    if (alpha <= 0.0).any():
+    if np.count_nonzero(alpha <= 0.0):
         raise McmcError("degenerate scale conditional: a shape prefix sum fell below 1")
     u = rng.beta(alpha, beta)
     bad = u <= lo
     for _ in range(50):
-        if not bad.any():
+        if not np.count_nonzero(bad):
             return u
         u[bad] = rng.beta(alpha[bad], beta[bad])
         bad = u <= lo
@@ -270,13 +349,16 @@ def run_mcmc(t: LossRatioTriangle, spec: BayesSpec, seed: int = 0) -> PosteriorS
     window = 50
     accepted = np.zeros((spec.chains, n_blocks))
     ratio, b_cap, cap = spec.tail_ratio, TAIL_SHAPE_CAP_MULT, spec.phi_hyper_cap
+    add = np.add.reduce  # a.sum() without its wrapper: the same pairwise sum
 
     for chain in range(spec.chains):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chain,)))
         a = a_ref * np.exp(0.05 * rng.standard_normal(n))
-        a0 = a.sum()
+        a0 = float(add(a))
         lower = _support_lower(a0, ratio)
         b = lower * (1.05 + 0.05 * rng.random()) if lower > 1.0 else 1.0 + 0.1 + 0.1 * rng.random()
+        if b > b_cap * a0:  # a start above the tail cap: take the support's midpoint
+            b = 0.5 * (lower + b_cap * a0)
         phi_prof = mle._scales(a[None], b, data.s[None], t.k)[0]
         phi = data.s + (phi_prof - data.s) * np.exp(0.1 * rng.standard_normal(m))
         hyp = min(cap * 0.999, float(phi.max()) * 1.25)
@@ -285,52 +367,63 @@ def run_mcmc(t: LossRatioTriangle, spec: BayesSpec, seed: int = 0) -> PosteriorS
             hyp = 0.5 * (float(data.s.max()) + cap)
             phi = np.minimum(phi, 0.5 * (data.s + hyp))
 
-        sums = data.phi_sums(phi)
-        ll = data.loglik(a, b, sums)
-        scales = np.full(n_blocks, 0.1)
-        acc = np.zeros(n_blocks)  # accepted proposals per block, this window
+        data.move(b, a, data.phi_sums(phi))  # the chain's first state
+        data.accept()
+        shape, accept = data.shape, data.accept
+        scales = [0.1] * n_blocks
+        acc = [0] * n_blocks  # accepted proposals per block, this window
 
         for it in range(spec.iterations):
             warm = it < spec.warmup
-            # development shape blocks (full-likelihood updates)
+            # development shape blocks, each paying only for the terms it moves.
+            # As b >= 1, the support is ratio*a0 <= b <= b_cap*a0: a running
+            # total judges it, the pairwise a.sum() within 1e-12 of a bound
+            total, moved = a0, False
             for j in range(n):
                 step = scales[j] * rng.standard_normal()
-                a_new = a.copy()
-                a_new[j] = a[j] * np.exp(step)
-                a0_new = a_new.sum()
-                if b < _support_lower(a0_new, ratio) or b > b_cap * a0_new:
-                    continue
-                ll_new = data.loglik(a_new, b, sums)
-                logr = ll_new - ll + step  # step = log-scale Jacobian delta
-                if logr >= 0 or np.log(rng.random()) < logr:
-                    a, a0, ll = a_new, a0_new, ll_new
+                aj = a[j]
+                a[j] = a_new = aj * np.exp(step)
+                a0_new = total + float(a_new - aj)
+                if not ratio * a0_new < b * (1.0 - 1e-12) or not b * (1.0 + 1e-12) < b_cap * a0_new:
+                    a0_new = float(add(a))
+                    if b < ratio * a0_new or b > b_cap * a0_new:
+                        a[j] = aj
+                        continue
+                logr = shape(j, float(a_new)) - data.ll + step  # step = log-scale Jacobian delta
+                if logr >= 0 or log(rng.random()) < logr:
+                    total, moved = a0_new, True
+                    accept()
                     acc[j] += 1
+                else:
+                    a[j] = aj
+            if moved:  # the state's shape total is the pairwise a.sum()
+                a0 = float(add(a))
             # joint rescaling of the shape vector and the tail shape's
             # excess over its bound: scaling n+1 flat-prior coordinates
             # contributes a lambda^(n+1) volume term
             js = n
             step = scales[js] * rng.standard_normal()
-            lam = np.exp(step)
-            a_new = a * lam
+            lam = float(np.exp(step))
             a0_new = a0 * lam
             b_new = _support_lower(a0_new, ratio) + lam * (b - _support_lower(a0, ratio))
             if b_new <= b_cap * a0_new:
-                ll_new = data.loglik(a_new, b_new, sums)
-                logr = ll_new - ll + (n + 1) * step
-                if logr >= 0 or np.log(rng.random()) < logr:
-                    a, b, a0, ll = a_new, b_new, a0_new, ll_new
+                a_new = a * lam
+                logr = data.move(b_new, a_new) - data.ll + (n + 1) * step
+                if logr >= 0 or log(rng.random()) < logr:
+                    a, b, a0 = a_new, b_new, a0_new
+                    accept()
                     acc[js] += 1
             # tail shape block, parameterized as log excess over its bound
             jb = n + 1
             lower = _support_lower(a0, ratio)
             w = np.log(b - lower)
             step = scales[jb] * rng.standard_normal()
-            b_new = lower + np.exp(w + step)
+            b_new = float(lower + np.exp(w + step))
             if b_new <= b_cap * a0:
-                ll_new = data.loglik(a, b_new, sums)
-                logr = ll_new - ll + step
-                if logr >= 0 or np.log(rng.random()) < logr:
-                    b, ll = b_new, ll_new
+                logr = data.move(b_new) - data.ll + step
+                if logr >= 0 or log(rng.random()) < logr:
+                    b = b_new
+                    accept()
                     acc[jb] += 1
             # ridge block: the flat priors leave the posterior nearly flat
             # along the direction that grows the tail shape together with
@@ -339,43 +432,34 @@ def run_mcmc(t: LossRatioTriangle, spec: BayesSpec, seed: int = 0) -> PosteriorS
             # ratio, the hyper scale by lam; the Jacobian is lam^2 times
             # the product of the per-row excess ratios
             jt = n + 2
-            c = np.cumsum(a)
+            c = a.cumsum()
             ck = c[row_k]
             step = scales[jt] * rng.standard_normal()
-            lam = np.exp(step)
+            lam = float(np.exp(step))
             b_new = lam * b
             hyp_new = lam * hyp
-            g = (a0 + b_new - ck) / (a0 + b - ck)
+            close, close_new = a0 + b - ck, a0 + b_new - ck
+            g = close_new / close
             phi_new = data.s + g * (phi - data.s)
-            if (
-                b_new >= _support_lower(a0, ratio)
-                and b_new <= b_cap * a0
-                and hyp_new <= cap
-                and (phi_new < hyp_new).all()
-            ):
+            if (b_new >= lower and b_new <= b_cap * a0 and hyp_new <= cap
+                    and np.maximum.reduce(phi_new) < hyp_new):
                 sums_new = data.phi_sums(phi_new)
-                ll_new = data.loglik(a, b_new, sums_new)
-                logr = (
-                    ll_new - ll
-                    - m * (np.log(hyp_new) - np.log(hyp))
-                    + 2.0 * step
-                    + np.log(g).sum()
-                )
-                if logr >= 0 or np.log(rng.random()) < logr:
-                    b, phi, hyp, sums, ll = b_new, phi_new, hyp_new, sums_new, ll_new
+                logr = (data.move(b_new, sums=sums_new) - data.ll - m * (log(hyp_new) - log(hyp))
+                        + 2.0 * step + np.log(g).sum())
+                if logr >= 0 or log(rng.random()) < logr:
+                    b, phi, hyp, close = b_new, phi_new, hyp_new, close_new
+                    accept()
                     acc[jt] += 1
             # per-year scales: the conditional of u_i = s_i / phi_i is a
             # Beta(c_k - 1, a0 + b - c_k) truncated to u_i > s_i / hyper,
             # drawn exactly (rejection with a lockstep envelope fallback)
-            close = a0 + b - ck
             lo_u = data.s / hyp
             u = _sample_truncated_beta(ck - 1.0, close, lo_u, rng)
             phi = data.s / u
-            sums = data.phi_sums(phi)
-            ll = data.loglik(a, b, sums)
+            data.scales(data.phi_sums(phi))
             # hyper scale: conditional density proportional to hyp^(-m) on
             # (max phi, cap], inverted in closed form
-            top = float(phi.max())
+            top = float(np.maximum.reduce(phi))
             v = rng.random()
             if m == 1:
                 hyp = top * np.exp(v * (np.log(cap) - np.log(top)))
@@ -385,12 +469,11 @@ def run_mcmc(t: LossRatioTriangle, spec: BayesSpec, seed: int = 0) -> PosteriorS
             # warmup-only step adaptation toward 25-40% acceptance; the
             # post-warmup counts start from zero
             if warm and (it + 1) % window == 0:
-                rates = acc / window
-                scales[rates > 0.40] *= 1.26
-                scales[rates < 0.25] *= 0.79
-                acc[:] = 0.0
+                scales = [x * (1.26 if k / window > 0.40 else 0.79 if k / window < 0.25 else 1.0)
+                          for x, k in zip(scales, acc)]
+                acc = [0] * n_blocks
             if it + 1 == spec.warmup:
-                acc[:] = 0.0
+                acc = [0] * n_blocks
             if not warm:
                 kept_idx = it - spec.warmup
                 A[chain, kept_idx] = a
@@ -400,8 +483,9 @@ def run_mcmc(t: LossRatioTriangle, spec: BayesSpec, seed: int = 0) -> PosteriorS
         accepted[chain] = acc
 
     rates = accepted / kept
+    blocks = [f"a_{j + 1}" for j in range(n)] + ["a_scale", "b_n", "tail_scale"]
     if np.any(rates.max(axis=0) == 0.0):
-        block = int(np.argmax(rates.max(axis=0) == 0.0))
+        block = blocks[int(np.argmax(rates.max(axis=0) == 0.0))]
         raise McmcError(f"sampler diverged: block {block} accepted no proposals after warmup")
 
     columns = [A[:, :, j] for j in range(n)] + [B] + [PHI[:, :, i] for i in range(m)] + [HYP]
@@ -416,7 +500,6 @@ def run_mcmc(t: LossRatioTriangle, spec: BayesSpec, seed: int = 0) -> PosteriorS
     if np.any(B > 0.99 * TAIL_SHAPE_CAP_MULT * A.sum(axis=2)):
         warn.append("tail shape draws within 1% of the configured cap")
 
-    blocks = [f"a_{j + 1}" for j in range(n)] + ["a_scale", "b_n", "tail_scale"]
     acc_out = {name: rates[:, jj].tolist() for jj, name in enumerate(blocks)}
     return PosteriorSample(t.years, seed, spec, A, B, PHI, HYP, acc_out, rhat, tuple(warn))
 

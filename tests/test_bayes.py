@@ -13,6 +13,7 @@ reproduced; those expectations are marked xfail with this reason.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -65,6 +66,11 @@ class TestSpecValidation:
         assert dr.BayesSpec(iterations=1004, warmup=1000).iterations == 1004
         with pytest.raises(ValueError):
             dr.BayesSpec(chains=0)
+        # from tail_alpha = 10/11 on, b_n >= ratio*a0 leaves nothing below the cap 10*a0
+        for alpha in (10 / 11, 0.95):
+            with pytest.raises(dr.InputError, match="tail_alpha"):
+                dr.BayesSpec(tail_alpha=alpha)
+        assert dr.BayesSpec(tail_alpha=0.909).tail_ratio < dr.bayes.TAIL_SHAPE_CAP_MULT
         for cap in (0.0, -1.0, float("inf"), float("nan")):
             with pytest.raises(dr.InputError, match="phi_hyper_cap"):
                 dr.BayesSpec(phi_hyper_cap=cap)
@@ -156,6 +162,86 @@ class TestGroupedKernel:
         want = dr.total_loglik(dr.DirichletParams(a, b, phi2), lr18)
         assert fresh == pytest.approx(want, rel=1e-12)
         assert abs(stale - want) > 1.0
+
+
+class _CheckedData(_Data):
+    """``_Data`` that holds every proposed and every carried total to the
+    from-scratch :meth:`loglik`, and counts the moves it sees.
+
+    The tolerance is rel 1e-12 of the total, as in ``TestGroupedKernel``, or
+    1e-14 of the sum's largest term m lnG(a0 + b), whichever is larger: near
+    the chain start the total crosses zero while its terms reach 1e5, so both
+    sides round at a few 1e-11 (the carried total stays within 1.4e-15 of that
+    term over 4000 iterations on every case below).
+    """
+
+    instances = []
+
+    def __init__(self, t):
+        super().__init__(t)
+        self.proposed, self.accepted, self.kind = Counter(), Counter(), None
+        self.instances.append(self)
+
+    def check(self, ll, a, b, sums):
+        largest = self.m * abs(math.lgamma(sum(a) + b))
+        want = self.loglik(np.asarray(a, dtype=float), b, sums)
+        assert ll == pytest.approx(want, rel=1e-12, abs=1e-14 * largest)
+
+    def check_carried(self):
+        self.check(self.ll, self.a, self.b, (self.P, self.Q))
+
+    def shape(self, j, aj):
+        ll = super().shape(j, aj)
+        self.check(ll, self.a[:j] + [aj] + self.a[j + 1:], self.b, (self.P, self.Q))
+        self.check_carried()
+        self.kind = "shape"
+        self.proposed[self.kind] += 1
+        return ll
+
+    def move(self, b, a=None, sums=None):
+        start = not hasattr(self, "ll")
+        ll = super().move(b, a, sums)
+        if not start:
+            self.check(ll, self.a if a is None else a, b, sums or (self.P, self.Q))
+            self.check_carried()
+        self.kind = "start" if start else "joint" if a is not None else "ridge" if sums else "tail"
+        self.proposed[self.kind] += 1
+        return ll
+
+    def scales(self, sums):
+        super().scales(sums)
+        self.check_carried()
+        self.proposed["scales"] += 1
+
+    def accept(self):
+        super().accept()
+        self.check_carried()
+        self.accepted[self.kind] += 1
+
+
+class TestCarriedTerms:
+    """The likelihood terms a chain carries against ``_Data.loglik``, after
+    every move, accepted or rejected."""
+
+    @pytest.mark.parametrize("case", ["lr10", "lr18", "lr10-0.19", "lr18-0.19", "synthetic_small"])
+    def test_carried_total_matches_loglik(self, case, request, monkeypatch):
+        name, _, alpha = case.partition("-")
+        if name == "synthetic_small":
+            t, spec = synthetic_small(), small_spec(chains=1, iterations=400, warmup=200)
+        else:
+            t = request.getfixturevalue(name)
+            spec = dr.BayesSpec(tail_alpha=float(alpha) if alpha else None, iterations=400,
+                                warmup=200, chains=1)
+        monkeypatch.setattr(_CheckedData, "instances", [])
+        monkeypatch.setattr(dr.bayes, "_Data", _CheckedData)
+        ps = dr.run_mcmc(t, spec, seed=3)
+        (data,) = _CheckedData.instances
+        moves = ("shape", "joint", "tail", "ridge")
+        assert all(data.proposed[k] > data.accepted[k] > 0 for k in moves)
+        assert data.proposed["scales"] >= spec.iterations  # one scale draw per iteration
+        # the carried state is the chain's last draw
+        assert data.a == ps.a[0, -1].tolist() and data.b == ps.b_n[0, -1]
+        assert (data.P, data.Q) == data.phi_sums(ps.phi[0, -1])
 
 
 class TestTruncatedBeta:
@@ -254,6 +340,22 @@ class TestRunMcmc:
         ps = dr.run_mcmc(lr10, small_spec(phi_hyper_cap=cap, chains=1), seed=0)
         assert np.all(ps.phi_hyper <= cap)
         assert "phi_hyper draws within 1% of the configured cap" in ps.warnings
+
+    def test_start_inside_a_narrow_tail_support(self, lr18):
+        # at tail_alpha 0.909 the tail support [ratio*a0, 10*a0] is narrower
+        # than the start's offset above its lower bound, which is then capped
+        spec = dr.BayesSpec(tail_alpha=0.909, iterations=3000, warmup=1000, chains=1)
+        ps = dr.run_mcmc(lr18, spec, seed=0)
+        a0 = ps.a.sum(axis=2)
+        assert np.all(ps.b_n >= spec.tail_ratio * a0 * (1.0 - 1e-12))
+        assert np.all(ps.b_n <= dr.bayes.TAIL_SHAPE_CAP_MULT * a0 * (1.0 + 1e-12))
+
+    def test_divergence_names_the_block(self, monkeypatch):
+        # a block that never accepts is named by its parameter, not its index
+        shape = _Data.shape
+        monkeypatch.setattr(_Data, "shape", lambda self, j, aj: -np.inf if j == 1 else shape(self, j, aj))
+        with pytest.raises(dr.bayes.McmcError, match="block a_2 accepted no proposals"):
+            dr.run_mcmc(synthetic_small(), small_spec(chains=1, iterations=300, warmup=100), seed=0)
 
     def test_ridge_exploration_flags_caps(self, lr18):
         # the flat-prior ridge runs into the configured caps and the run

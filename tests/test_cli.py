@@ -280,6 +280,7 @@ BAD_ARGUMENTS = [
     (["fit", "--triangle", "{tri}", "--years", "99"], "--years"),
     (["bayes", "--triangle", "{tri}"], "--out"),
     (["bayes", "--triangle", "{tri}", "--tail-alpha", "1.0", "--out", "{out}/d.csv"], "--tail-alpha"),
+    (["bayes", "--triangle", "{tri}", "--tail-alpha", "0.95", "--out", "{out}/d.csv"], "--tail-alpha"),
     (["bayes", "--triangle", "{tri}", "--iterations", "100", "--out", "{out}/d.csv"], "--iterations"),
     (["predict", "--triangle", "{tri}", "--method", "bayes", "--chains", "0"], "--chains"),
     (["bayes", "--triangle", "{tri}", "--phi-hyper-cap", "-1", "--out", "{out}/d.csv"],

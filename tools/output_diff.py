@@ -15,8 +15,9 @@ each tree runs the same fixed list of CLI calls, writing into
   each at ``--years 10`` and ``all``;
 * ``gof --years 10``;
 * ``bayes`` at the one-chain configuration of ``perfbench/run.py``
-  (``--tail-alpha 0.19 --iterations 12000 --warmup 3000 --chains 1``,
-  seed 1000), with ``--predict-out``;
+  (``--tail-alpha 0.19 --iterations 12000 --warmup 3000 --chains 1``),
+  with ``--predict-out``, at seed 1000 and at seed 1001: the first never
+  reaches the scale draw's envelope fallback, the second reaches it once;
 * ``validate`` on the one-insurer panel ``DIR/panel`` at 10 and all years.
 
 Every other call runs at seed 0. For each output file it prints
@@ -40,8 +41,7 @@ from bench_pairs import export
 
 # a number as the CLI writes it: repr of a float or an int, JSON's NaN and Infinity
 NUMBER = re.compile(r"(-?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|NaN|Infinity))")
-BAYES = ["--tail-alpha", "0.19", "--iterations", "12000", "--warmup", "3000", "--chains", "1",
-         "--seed", "1000"]
+BAYES = ["--tail-alpha", "0.19", "--iterations", "12000", "--warmup", "3000", "--chains", "1"]
 
 
 def calls(panel: Path, out: Path) -> list:
@@ -58,8 +58,10 @@ def calls(panel: Path, out: Path) -> list:
         runs.append(([f"validate_{y}.csv"], ["validate", "--panel", str(panel), "--years", y,
                                             "--seed", "0"]))
     runs.append((["gof_10.json"], ["gof", *tri, "--years", "10", "--seed", "0"]))
-    runs.append((["bayes_draws.csv", "bayes_predict.csv"],
-                 ["bayes", *tri, *BAYES, "--predict-out", str(out / "bayes_predict.csv")]))
+    for seed in ("1000", "1001"):
+        draws, predict = f"bayes_draws_{seed}.csv", f"bayes_predict_{seed}.csv"
+        runs.append(([draws, predict], ["bayes", *tri, *BAYES, "--seed", seed,
+                                        "--predict-out", str(out / predict)]))
     return [(files, [*args, "--out", str(out / files[0])]) for files, args in runs]
 
 
