@@ -125,9 +125,11 @@ class _Data:
     scales move. :meth:`loglik` evaluates the total from scratch, in
     n + 1 + G ``math.lgamma`` calls (G = len(kidx)) in plain floats.
 
-    A chain carries the terms of its current state instead: lnG(a_j),
-    lnG(a0+b), each group's closing shape a0+b-c_k and its lnG, and per year j
-    the coefficient L_j + sum_{kidx<j} Q_k - sum_{kidx>=j} P_k of a move of a_j.
+    A chain carries the terms of its current state instead, set by
+    ``move(b, a, sums)`` and :meth:`accept`: lnG(a_j), lnG(a0+b), each group's
+    closing shape a0+b-c_k and its lnG, each year's a_j L_j - N_j lnG(a_j),
+    and w_g = sum_{k<g} Q_k - sum_{k>=g} P_k over the groups, so that a move of
+    a_j has the coefficient L_j + w_g with g the groups closing before j.
     A proposal returns its total and keeps its terms until :meth:`accept`;
     ``ll`` is the current total. As a move of a_j leaves a0+b-c_k alone for
     every group that observes year j, :meth:`shape` pays 2 + (groups closing
@@ -179,15 +181,16 @@ class _Data:
         lg = [lgamma(y + d) for y in self.close[:g]]
         lgab = lgamma(ab)
         ll = (self.ll + self.m * (lgab - self.lgab) - self.N[j] * (lgaj - self.lga[j])
-              + d * self.coef[j] - sum(map(mul, self.cnt, map(sub, lg, self.lg))))
+              + d * (self.L[j] + self.w[g]) - sum(map(mul, self.cnt, map(sub, lg, self.lg))))
         self._new, self._commit = (j, aj, d, lgaj, ab, lgab, lg, ll), self._take_shape
         return ll
 
     def _take_shape(self):
-        j, self.a[j], d, self.lga[j], self.ab, self.lgab, lg, self.ll = self._new
-        self.close[:len(lg)], self.lg[:len(lg)] = [y + d for y in self.close[:len(lg)]], lg
-        self.at[j] = self.a[j] * self.L[j] - self.N[j] * self.lga[j]
-        self.shp = sum(self.at) - self.const  # sum_j (a_j L_j - N_j lnG(a_j)) - const
+        j, aj, d, lgaj, self.ab, self.lgab, lg, self.ll = self._new
+        g = len(lg)  # the groups closing before j, whose closing shapes move with a_j
+        self.a[j], self.lga[j], self.at[j] = aj, lgaj, aj * self.L[j] - self.N[j] * lgaj
+        self.close[:g], self.lg[:g] = [y + d for y in self.close[:g]], lg
+        self.shp = sum(self.at) - self.const
 
     def move(self, b, a=None, sums=None) -> float:
         """Total with the tail shape moved to b and, when given, the shapes to a
@@ -216,14 +219,13 @@ class _Data:
 
     def _take(self):
         vars(self).update(self._new)
-        if "P" in self._new:  # the shape moves' coefficients follow the scale sums
+        if "P" in self._new:  # the shape moves' w follows the scale sums
             self.scales((self.P, self.Q))
 
     def scales(self, sums):
         """Take new scale sums, a Gibbs draw that is always kept."""
         self.P, self.Q = sums
-        w = list(accumulate(map(add, *sums), initial=-sum(self.P)))  # sum_{k<g} Q_k - sum_{k>=g} P_k
-        self.coef = [Lj + w[g] for Lj, g in zip(self.L, self.before)]
+        self.w = list(accumulate(map(add, *sums), initial=-sum(self.P)))
         self.ll = self._total(self.shp, self.ab, self.lgab, self.close, self.lg, *sums)
 
     def _total(self, shp, ab, lgab, close, lg, P, Q) -> float:
