@@ -13,12 +13,11 @@ the log tail-shape excess over its lower bound, with step adaptation in
 warmup only; each scale is an exact draw of a Beta truncated above
 s_i/phi_hyper, by plain rejection with an exact envelope-rejection fallback.
 
-The total log-likelihood is grouped by observed prefix length (see
-``_Data``), and each chain carries its terms, so a block pays only for the
-``math.lgamma`` terms its move changes: 2 + j for the shape a_(j+1), 1 + G
-for the tail and ridge blocks (G prefix lengths), n + 1 + G for the joint
-rescaling, none for the scale draw. ``_Data.loglik`` is the from-scratch
-oracle of the carried total, and the scalar ``model.total_loglik`` its own.
+One ``_Data`` instance holds the whole state of a chain, each Gibbs block is
+one of its methods, and ``_run_chain`` restarts it for each chain. The state
+carries the terms of the log-likelihood, grouped by observed prefix length,
+so a block pays only for the ``math.lgamma`` terms its move changes.
+``_Data.loglik`` is the from-scratch oracle of the carried total.
 """
 
 from __future__ import annotations
@@ -108,7 +107,14 @@ class PosteriorSample:
 
 
 class _Data:
-    """Sufficient statistics of one triangle for the total log-likelihood.
+    """The whole state of one chain, and the likelihood terms of that state.
+
+    The parameters are the list ``a``, ``b``, ``phi`` and ``hyp``, and ``a0``:
+    numpy's pairwise sum of ``a`` after a shape sweep that moved, which the
+    joint move scales instead of summing again. The support checks read it,
+    and so do the ridge and the scale draw, whose per-row closing shapes are
+    a0 + b - c_k with c numpy's cumulative sum of ``a``. ``steps`` and ``acc``
+    hold each random-walk block's step scale and accepted proposals.
 
     ``N``, ``L`` and the prefix-length counts come from ``mle._one``:
     ``inv`` maps each row to its prefix-length group, ``kidx`` holds each
@@ -125,22 +131,23 @@ class _Data:
     scales move. :meth:`loglik` evaluates the total from scratch, in
     n + 1 + G ``math.lgamma`` calls (G = len(kidx)) in plain floats.
 
-    A chain carries the terms of its current state instead, set by
-    ``move(b, a, sums)`` and :meth:`accept`: lnG(a_j), lnG(a0+b), each group's
-    closing shape a0+b-c_k and its lnG, each year's a_j L_j - N_j lnG(a_j),
-    and w_g = sum_{k<g} Q_k - sum_{k>=g} P_k over the groups, so that a move of
-    a_j has the coefficient L_j + w_g with g the groups closing before j.
-    A proposal returns its total and keeps its terms until :meth:`accept`;
-    ``ll`` is the current total. As a move of a_j leaves a0+b-c_k alone for
-    every group that observes year j, :meth:`shape` pays 2 + (groups closing
-    before j) lgamma calls, :meth:`move` 1 + G (n more with new shapes) and
-    :meth:`scales` none.
+    The state carries the terms instead, set by ``move(b, a, sums)`` and
+    :meth:`accept`, with a0 the running sum of ``a`` here: lnG(a_j),
+    lnG(a0+b), each group's closing shape a0+b-c_k and its lnG, each year's
+    a_j L_j - N_j lnG(a_j), and w_g = sum_{k<g} Q_k - sum_{k>=g} P_k over the
+    groups, so that a move of a_j has the coefficient L_j + w_g with g the
+    groups closing before j. A proposal returns its total and keeps its terms
+    until :meth:`accept`; ``ll`` is the current total. As a move of a_j leaves
+    a0+b-c_k alone for every group that observes year j, :meth:`shape` pays
+    2 + (groups closing before j) lgamma calls, :meth:`move` 1 + G (n more
+    with new shapes) and :meth:`scales` none.
     """
 
     def __init__(self, t: LossRatioTriangle):
         stats = mle._one(t)
         self.m, self.n = t.m, t.n
         self.s = t.observed_cumulative()
+        self.row_k = t.k - 1  # each row's last observed development year
         lengths = np.flatnonzero(stats.cnt)
         self.inv = np.searchsorted(lengths, t.k)
         self.kidx = (lengths - 1).tolist()
@@ -193,13 +200,12 @@ class _Data:
         self.shp = sum(self.at) - self.const
 
     def move(self, b, a=None, sums=None) -> float:
-        """Total with the tail shape moved to b and, when given, the shapes to a
-        and the scale sums to ``sums``."""
+        """Total with the tail shape moved to b and, when given, the shapes to
+        the list a and the scale sums to ``sums``."""
         new = self._new = {"b": b}
         if a is None:
             a, shp = self.a, self.shp
         else:
-            a = a.tolist()
             lga = list(map(lgamma, a))
             at = list(map(sub, map(mul, a, self.L), map(mul, self.N, lga)))
             shp = sum(at) - self.const
@@ -232,6 +238,122 @@ class _Data:
         # sum_k (close_k - 1) Q_k - (ab - close_k) P_k - cnt_k lnG(close_k), in maps
         return (shp + self.m * lgab + sum(map(mul, close, map(add, P, Q))) - sum(Q) - ab * sum(P)
                 - sum(map(mul, self.cnt, lg)))
+
+    def start(self, spec: BayesSpec, a_ref, rng):
+        """Draw a chain's first state around the MLE shapes ``a_ref``, with new step scales and counts."""
+        n, m, s, cap = self.n, self.m, self.s, spec.phi_hyper_cap
+        self.ratio, self.cap = spec.tail_ratio, cap
+        a = a_ref * np.exp(0.05 * rng.standard_normal(n))
+        self.a0 = float(np.add.reduce(a))
+        lower = _support_lower(self.a0, self.ratio)
+        b = lower * (1.05 + 0.05 * rng.random()) if lower > 1.0 else 1.0 + 0.1 + 0.1 * rng.random()
+        if b > TAIL_SHAPE_CAP_MULT * self.a0:  # a start above the tail cap: take the support's midpoint
+            b = 0.5 * (lower + TAIL_SHAPE_CAP_MULT * self.a0)
+        phi_prof = mle._scales(a[None], b, s[None], self.row_k + 1)[0]
+        phi = s + (phi_prof - s) * np.exp(0.1 * rng.standard_normal(m))
+        hyp = min(cap * 0.999, float(phi.max()) * 1.25)
+        if hyp <= phi.max():
+            # no room above the drawn scales: start midway from the data to the cap
+            hyp = 0.5 * (float(s.max()) + cap)
+            phi = np.minimum(phi, 0.5 * (s + hyp))
+        self.phi, self.hyp = phi, hyp
+        self.move(b, a.tolist(), self.phi_sums(phi))
+        self.accept()
+        # blocks 0..n-1 move the shapes, n the joint rescaling, n+1 the tail, n+2 the ridge
+        self.steps, self.acc = [0.1] * (n + 3), [0] * (n + 3)
+
+    def _metropolis(self, block, logr, rng) -> bool:
+        """Accept with probability min(1, exp(logr)); the uniform is drawn only when logr < 0."""
+        if logr >= 0 or log(rng.random()) < logr:
+            self.accept()
+            self.acc[block] += 1
+            return True
+        return False
+
+    def shapes(self, rng):
+        """Move each log shape in turn. As b >= 1, the support is ratio*a0 <= b <= 10*a0:
+        a running total of the shapes judges it, the pairwise sum within 1e-12 of a bound."""
+        a, ratio, b, total, moved = self.a, self.ratio, self.b, self.a0, False  # a moves in place
+        for j, scale in enumerate(self.steps[:self.n]):
+            step = scale * rng.standard_normal()
+            aj = a[j]
+            a_new = aj * np.exp(step)
+            a0_new = total + float(a_new - aj)
+            if (not ratio * a0_new < b * (1.0 - 1e-12)
+                    or not b * (1.0 + 1e-12) < TAIL_SHAPE_CAP_MULT * a0_new):
+                a0_new = float(np.add.reduce(a[:j] + [a_new] + a[j + 1:]))
+                if b < ratio * a0_new or b > TAIL_SHAPE_CAP_MULT * a0_new:
+                    continue
+            # step is the log-scale Jacobian term
+            if self._metropolis(j, self.shape(j, float(a_new)) - self.ll + step, rng):
+                total, moved = a0_new, True
+        if moved:
+            self.a0 = float(np.add.reduce(a))
+
+    def joint(self, rng):
+        """Rescale the shapes and the tail shape's excess over its bound by one
+        factor lam, which mixes the weakly identified concentration; scaling
+        n+1 flat-prior coordinates contributes a lam^(n+1) volume term."""
+        n, a0 = self.n, self.a0
+        step = self.steps[n] * rng.standard_normal()
+        lam = float(np.exp(step))
+        a0_new = a0 * lam
+        b = _support_lower(a0_new, self.ratio) + lam * (self.b - _support_lower(a0, self.ratio))
+        if b <= TAIL_SHAPE_CAP_MULT * a0_new:
+            logr = self.move(b, [x * lam for x in self.a]) - self.ll + (n + 1) * step
+            if self._metropolis(n, logr, rng):
+                self.a0 = a0_new
+
+    def tail(self, rng):
+        """A random-walk move of the tail shape's log excess over its bound."""
+        lower = _support_lower(self.a0, self.ratio)
+        w = np.log(self.b - lower)
+        step = self.steps[self.n + 1] * rng.standard_normal()
+        b = float(lower + np.exp(w + step))
+        if b <= TAIL_SHAPE_CAP_MULT * self.a0:
+            self._metropolis(self.n + 1, self.move(b) - self.ll + step, rng)
+
+    def _closing(self):
+        """Each row's shape prefix sum c_k and closing shape a0 + b - c_k."""
+        ck = np.add.accumulate(self.a)[self.row_k]
+        return ck, self.a0 + self.b - ck
+
+    def ridge(self, rng):
+        """The flat priors leave the posterior nearly flat along the direction
+        that grows the tail shape together with every scale, so a reversible
+        map traverses it: b -> lam*b, each scale's excess over s_i by the ratio
+        g_i of its row's closing shapes, the hyper scale by lam. The Jacobian is
+        lam^2 prod g_i; the log ratio adds ((ll - ll0) - m dlog hyp) + 2 step + sum log g.
+        """
+        a0, hyp, s = self.a0, self.hyp, self.s
+        ck, close = self._closing()
+        step = self.steps[self.n + 2] * rng.standard_normal()
+        lam = float(np.exp(step))
+        b, hyp_new = lam * self.b, lam * hyp
+        g = (a0 + b - ck) / close
+        phi = s + g * (self.phi - s)
+        if (b >= _support_lower(a0, self.ratio) and b <= TAIL_SHAPE_CAP_MULT * a0
+                and hyp_new <= self.cap and np.maximum.reduce(phi) < hyp_new):
+            logr = (self.move(b, sums=self.phi_sums(phi)) - self.ll - self.m * (log(hyp_new) - log(hyp))
+                    + 2.0 * step + np.log(g).sum())
+            if self._metropolis(self.n + 2, logr, rng):
+                self.phi, self.hyp = phi, hyp_new
+
+    def draw_scales(self, rng):
+        """Exact draws of the scales: u_i = s_i/phi_i from a Beta(c_k - 1, a0 + b - c_k)
+        truncated to u_i > s_i/hyp; then of the hyper scale, whose conditional
+        density is proportional to hyp^(-m) on (max phi, cap], in closed form."""
+        s, m, cap = self.s, self.m, self.cap
+        ck, close = self._closing()
+        self.phi = phi = s / _sample_truncated_beta(ck - 1.0, close, s / self.hyp, rng)
+        self.scales(self.phi_sums(phi))
+        top = float(np.maximum.reduce(phi))
+        v = rng.random()
+        if m == 1:
+            self.hyp = top * np.exp(v * (np.log(cap) - np.log(top)))
+        else:
+            q = 1.0 - m
+            self.hyp = (top**q + v * (cap**q - top**q)) ** (1.0 / q)
 
 
 def _support_lower(a0: float, tail_ratio: float) -> float:
@@ -317,6 +439,29 @@ def _split_rhat(chains_draws: np.ndarray) -> float:
     return float(np.sqrt(vhat / W))
 
 
+def _run_chain(data: _Data, spec: BayesSpec, a_ref, seed: int, chain: int):
+    """Restart ``data`` and run chain ``chain`` on it; return its kept draws of
+    a, b_n, phi and phi_hyper and each block's accepted proposals after warmup."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chain,)))
+    data.start(spec, a_ref, rng)
+    kept, window = spec.iterations - spec.warmup, 50
+    A, B, PHI, HYP = np.empty((kept, data.n)), np.empty(kept), np.empty((kept, data.m)), np.empty(kept)
+    sweep = (data.shapes, data.joint, data.tail, data.ridge, data.draw_scales)  # the blocks of one iteration
+    for it in range(spec.iterations):
+        for block in sweep:
+            block(rng)
+        if it < spec.warmup and (it + 1) % window == 0:  # toward 25-40% acceptance
+            data.steps = [x * (1.26 if k / window > 0.40 else 0.79 if k / window < 0.25 else 1.0)
+                          for x, k in zip(data.steps, data.acc)]
+            data.acc = [0] * len(data.acc)
+        if it + 1 == spec.warmup:  # the post-warmup counts start from zero
+            data.acc = [0] * len(data.acc)
+        if it >= spec.warmup:
+            i = it - spec.warmup
+            A[i], B[i], PHI[i], HYP[i] = data.a, data.b, data.phi, data.hyp
+    return A, B, PHI, HYP, data.acc
+
+
 def run_mcmc(t: LossRatioTriangle, spec: BayesSpec, seed: int = 0) -> PosteriorSample:
     """Sample the posterior with adaptive Metropolis-within-Gibbs chains.
 
@@ -332,159 +477,12 @@ def run_mcmc(t: LossRatioTriangle, spec: BayesSpec, seed: int = 0) -> PosteriorS
             f"phi_hyper_cap {spec.phi_hyper_cap} does not exceed the largest cumulative "
             f"loss ratio {data.s[top]:.4f} (accident year {t.years[top]})"
         )
-    m, n = data.m, data.n
-    row_k = t.k - 1  # index of each row's last observed development year
-    fit = mle.fit_mle(t)
-    a_ref = fit.theta_hat.a
+    a_ref = mle.fit_mle(t).theta_hat.a
+    chains = [_run_chain(data, spec, a_ref, seed, chain) for chain in range(spec.chains)]
+    A, B, PHI, HYP, accepted = map(np.array, zip(*chains))
+    n, m = data.n, data.m
 
-    kept = spec.iterations - spec.warmup
-    A = np.empty((spec.chains, kept, n))
-    B = np.empty((spec.chains, kept))
-    PHI = np.empty((spec.chains, kept, m))
-    HYP = np.empty((spec.chains, kept))
-    # random-walk blocks: one per development shape, one joint rescaling of
-    # the shape vector (which mixes the weakly identified concentration),
-    # and the tail shape; the scales and the hyper scale are drawn exactly
-    # from their full conditionals; every block proposes once per
-    # iteration, so a window's acceptance rate is its count over the window
-    n_blocks = n + 3
-    window = 50
-    accepted = np.zeros((spec.chains, n_blocks))
-    ratio, b_cap, cap = spec.tail_ratio, TAIL_SHAPE_CAP_MULT, spec.phi_hyper_cap
-    add = np.add.reduce  # a.sum() without its wrapper: the same pairwise sum
-
-    for chain in range(spec.chains):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chain,)))
-        a = a_ref * np.exp(0.05 * rng.standard_normal(n))
-        a0 = float(add(a))
-        lower = _support_lower(a0, ratio)
-        b = lower * (1.05 + 0.05 * rng.random()) if lower > 1.0 else 1.0 + 0.1 + 0.1 * rng.random()
-        if b > b_cap * a0:  # a start above the tail cap: take the support's midpoint
-            b = 0.5 * (lower + b_cap * a0)
-        phi_prof = mle._scales(a[None], b, data.s[None], t.k)[0]
-        phi = data.s + (phi_prof - data.s) * np.exp(0.1 * rng.standard_normal(m))
-        hyp = min(cap * 0.999, float(phi.max()) * 1.25)
-        if hyp <= phi.max():
-            # no room above the drawn scales: start midway from the data to the cap
-            hyp = 0.5 * (float(data.s.max()) + cap)
-            phi = np.minimum(phi, 0.5 * (data.s + hyp))
-
-        data.move(b, a, data.phi_sums(phi))  # the chain's first state
-        data.accept()
-        shape, accept = data.shape, data.accept
-        scales = [0.1] * n_blocks
-        acc = [0] * n_blocks  # accepted proposals per block, this window
-
-        for it in range(spec.iterations):
-            warm = it < spec.warmup
-            # development shape blocks, each paying only for the terms it moves.
-            # As b >= 1, the support is ratio*a0 <= b <= b_cap*a0: a running
-            # total judges it, the pairwise a.sum() within 1e-12 of a bound
-            total, moved = a0, False
-            for j in range(n):
-                step = scales[j] * rng.standard_normal()
-                aj = a[j]
-                a[j] = a_new = aj * np.exp(step)
-                a0_new = total + float(a_new - aj)
-                if not ratio * a0_new < b * (1.0 - 1e-12) or not b * (1.0 + 1e-12) < b_cap * a0_new:
-                    a0_new = float(add(a))
-                    if b < ratio * a0_new or b > b_cap * a0_new:
-                        a[j] = aj
-                        continue
-                logr = shape(j, float(a_new)) - data.ll + step  # step = log-scale Jacobian delta
-                if logr >= 0 or log(rng.random()) < logr:
-                    total, moved = a0_new, True
-                    accept()
-                    acc[j] += 1
-                else:
-                    a[j] = aj
-            if moved:  # the state's shape total is the pairwise a.sum()
-                a0 = float(add(a))
-            # joint rescaling of the shape vector and the tail shape's
-            # excess over its bound: scaling n+1 flat-prior coordinates
-            # contributes a lambda^(n+1) volume term
-            js = n
-            step = scales[js] * rng.standard_normal()
-            lam = float(np.exp(step))
-            a0_new = a0 * lam
-            b_new = _support_lower(a0_new, ratio) + lam * (b - _support_lower(a0, ratio))
-            if b_new <= b_cap * a0_new:
-                a_new = a * lam
-                logr = data.move(b_new, a_new) - data.ll + (n + 1) * step
-                if logr >= 0 or log(rng.random()) < logr:
-                    a, b, a0 = a_new, b_new, a0_new
-                    accept()
-                    acc[js] += 1
-            # tail shape block, parameterized as log excess over its bound
-            jb = n + 1
-            lower = _support_lower(a0, ratio)
-            w = np.log(b - lower)
-            step = scales[jb] * rng.standard_normal()
-            b_new = float(lower + np.exp(w + step))
-            if b_new <= b_cap * a0:
-                logr = data.move(b_new) - data.ll + step
-                if logr >= 0 or log(rng.random()) < logr:
-                    b = b_new
-                    accept()
-                    acc[jb] += 1
-            # ridge block: the flat priors leave the posterior nearly flat
-            # along the direction that grows the tail shape together with
-            # every scale, so a dedicated reversible map traverses it:
-            # b -> lam*b, each scale excess grows by the conditional-mean
-            # ratio, the hyper scale by lam; the Jacobian is lam^2 times
-            # the product of the per-row excess ratios
-            jt = n + 2
-            c = a.cumsum()
-            ck = c[row_k]
-            step = scales[jt] * rng.standard_normal()
-            lam = float(np.exp(step))
-            b_new = lam * b
-            hyp_new = lam * hyp
-            close, close_new = a0 + b - ck, a0 + b_new - ck
-            g = close_new / close
-            phi_new = data.s + g * (phi - data.s)
-            if (b_new >= lower and b_new <= b_cap * a0 and hyp_new <= cap
-                    and np.maximum.reduce(phi_new) < hyp_new):
-                sums_new = data.phi_sums(phi_new)
-                logr = (data.move(b_new, sums=sums_new) - data.ll - m * (log(hyp_new) - log(hyp))
-                        + 2.0 * step + np.log(g).sum())
-                if logr >= 0 or log(rng.random()) < logr:
-                    b, phi, hyp, close = b_new, phi_new, hyp_new, close_new
-                    accept()
-                    acc[jt] += 1
-            # per-year scales: the conditional of u_i = s_i / phi_i is a
-            # Beta(c_k - 1, a0 + b - c_k) truncated to u_i > s_i / hyper,
-            # drawn exactly (rejection with a lockstep envelope fallback)
-            lo_u = data.s / hyp
-            u = _sample_truncated_beta(ck - 1.0, close, lo_u, rng)
-            phi = data.s / u
-            data.scales(data.phi_sums(phi))
-            # hyper scale: conditional density proportional to hyp^(-m) on
-            # (max phi, cap], inverted in closed form
-            top = float(np.maximum.reduce(phi))
-            v = rng.random()
-            if m == 1:
-                hyp = top * np.exp(v * (np.log(cap) - np.log(top)))
-            else:
-                q = 1.0 - m
-                hyp = (top**q + v * (cap**q - top**q)) ** (1.0 / q)
-            # warmup-only step adaptation toward 25-40% acceptance; the
-            # post-warmup counts start from zero
-            if warm and (it + 1) % window == 0:
-                scales = [x * (1.26 if k / window > 0.40 else 0.79 if k / window < 0.25 else 1.0)
-                          for x, k in zip(scales, acc)]
-                acc = [0] * n_blocks
-            if it + 1 == spec.warmup:
-                acc = [0] * n_blocks
-            if not warm:
-                kept_idx = it - spec.warmup
-                A[chain, kept_idx] = a
-                B[chain, kept_idx] = b
-                PHI[chain, kept_idx] = phi
-                HYP[chain, kept_idx] = hyp
-        accepted[chain] = acc
-
-    rates = accepted / kept
+    rates = accepted / (spec.iterations - spec.warmup)  # a block proposes once per iteration
     blocks = [f"a_{j + 1}" for j in range(n)] + ["a_scale", "b_n", "tail_scale"]
     if np.any(rates.max(axis=0) == 0.0):
         block = blocks[int(np.argmax(rates.max(axis=0) == 0.0))]
@@ -524,7 +522,8 @@ def posterior_predict(ps: PosteriorSample, t: LossRatioTriangle, seed: int = 0):
     b = ps.b_n.reshape(n_draws)
     phi = ps.phi.reshape(n_draws, t.m)
     observed = t.observed_cumulative()
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(9,)))
+    # past every chain's stream, as chain c draws from spawn_key (c,)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(max(9, ps.spec.chains),)))
     ultimate = observed + unpaid_totals(a, b, phi, t.k, observed, rng)
     return PredictiveDistribution(t.years, seed, n_draws, a, phi, ultimate, observed, None, 0)
 

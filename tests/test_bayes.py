@@ -179,7 +179,7 @@ class _CheckedData(_Data):
 
     def __init__(self, t):
         super().__init__(t)
-        self.proposed, self.accepted, self.kind = Counter(), Counter(), None
+        self.proposed, self.accepted, self.kind, self.starting = Counter(), Counter(), None, False
         self.instances.append(self)
 
     def check(self, ll, a, b, sums):
@@ -198,8 +198,14 @@ class _CheckedData(_Data):
         self.proposed[self.kind] += 1
         return ll
 
+    def start(self, spec, a_ref, rng):
+        # every chain's first state is a start, whatever the instance carries
+        self.starting = True
+        super().start(spec, a_ref, rng)
+        self.starting = False
+
     def move(self, b, a=None, sums=None):
-        start = not hasattr(self, "ll")
+        start = self.starting
         ll = super().move(b, a, sums)
         if not start:
             self.check(ll, self.a if a is None else a, b, sums or (self.P, self.Q))
@@ -236,12 +242,28 @@ class TestCarriedTerms:
         monkeypatch.setattr(dr.bayes, "_Data", _CheckedData)
         ps = dr.run_mcmc(t, spec, seed=3)
         (data,) = _CheckedData.instances
+        self.assert_carried(data, spec, ps.a[0, -1], ps.b_n[0, -1], ps.phi[0, -1])
+
+    def test_two_chains_on_one_instance(self, lr18, fit18, monkeypatch):
+        # the second chain's start replaces every term the first chain left;
+        # the chains run without run_mcmc, whose R-hat gate short chains fail
+        monkeypatch.setattr(_CheckedData, "instances", [])
+        spec = dr.BayesSpec(tail_alpha=0.19, iterations=400, warmup=200, chains=2)
+        data = _CheckedData(lr18)
+        for chain in range(spec.chains):
+            a, b, phi, _, _ = dr.bayes._run_chain(data, spec, fit18.theta_hat.a, 3, chain)
+        self.assert_carried(data, spec, a[-1], b[-1], phi[-1])
+
+    @staticmethod
+    def assert_carried(data, spec, a, b, phi):
         moves = ("shape", "joint", "tail", "ridge")
         assert all(data.proposed[k] > data.accepted[k] > 0 for k in moves)
-        assert data.proposed["scales"] >= spec.iterations  # one scale draw per iteration
-        # the carried state is the chain's last draw
-        assert data.a == ps.a[0, -1].tolist() and data.b == ps.b_n[0, -1]
-        assert (data.P, data.Q) == data.phi_sums(ps.phi[0, -1])
+        assert data.proposed["start"] == data.accepted["start"] == spec.chains
+        # one scale draw per iteration
+        assert data.proposed["scales"] >= spec.chains * spec.iterations
+        # the carried state is the last chain's last draw
+        assert data.a == a.tolist() and data.b == b
+        assert (data.P, data.Q) == data.phi_sums(phi)
 
 
 class TestTruncatedBeta:
@@ -357,6 +379,18 @@ class TestRunMcmc:
         with pytest.raises(dr.bayes.McmcError, match="block a_2 accepted no proposals"):
             dr.run_mcmc(synthetic_small(), small_spec(chains=1, iterations=300, warmup=100), seed=0)
 
+    def test_chains_are_independent(self, lr10, fit10):
+        # chain 1 on a fresh instance is chain 1 of a run that shares one
+        # instance between its chains: the restart leaves nothing of chain 0
+        spec = small_spec(tail_alpha=0.19, iterations=600, warmup=300)
+        run = lambda data, chain: dr.bayes._run_chain(data, spec, fit10.theta_hat.a, 21, chain)
+        shared = _Data(lr10)
+        first, second = run(shared, 0), run(shared, 1)
+        alone = run(_Data(lr10), 1)
+        assert not np.array_equal(first[0], second[0])
+        for got, want in zip(second, alone):
+            np.testing.assert_array_equal(got, want)
+
     def test_ridge_exploration_flags_caps(self, lr18):
         # the flat-prior ridge runs into the configured caps and the run
         # reports it, as the guardrail requires
@@ -430,6 +464,24 @@ class TestPosteriorPredict:
         assert pd.ultimate_samples.shape == (4000, t.m)
         # chain by chain, in draw order
         np.testing.assert_array_equal(pd.phi_samples, ps.phi.reshape(4000, t.m))
+
+    def test_predictive_stream_differs_from_every_chain(self, monkeypatch):
+        # chain c draws from spawn_key (c,) of the run's seed, so with 10
+        # chains the predictive draws must come from past spawn_key (9,)
+        t = synthetic_small()
+        theta = dr.DirichletParams(np.array([20.0, 10.0, 5.0]), 1.5, t.observed_cumulative() * 1.3)
+        ps = self.constant_sample(theta, t, draws=5, chains=10)
+        seen = []
+
+        def unpaid(a, b, phi, k, observed, rng):
+            seen.append(rng.random(8))
+            return np.zeros_like(phi)
+
+        monkeypatch.setattr(dr.bayes, "unpaid_totals", unpaid)
+        dr.posterior_predict(ps, t, seed=ps.seed)
+        for chain in range(ps.spec.chains):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=ps.seed, spawn_key=(chain,)))
+            assert not np.array_equal(seen[0], rng.random(8)), chain
 
     @pytest.mark.xfail(strict=True, reason=RIDGE_REASON)
     def test_reference_interval_width_without_tail_constraint(self, lr18):

@@ -18,6 +18,9 @@ each tree runs the same fixed list of CLI calls, writing into
   (``--tail-alpha 0.19 --iterations 12000 --warmup 3000 --chains 1``),
   with ``--predict-out``, at seed 1000 and at seed 1001: the first never
   reaches the scale draw's envelope fallback, the second reaches it once;
+* ``bayes --tail-alpha 0.19 --iterations 4000 --warmup 1500 --chains 2``
+  with ``--predict-out`` at seed 1001, where the second chain restarts the
+  state the first one left (seed 1000 fails the R-hat gate there);
 * ``validate`` on the one-insurer panel ``DIR/panel`` at 10 and all years.
 
 Every other call runs at seed 0. For each output file it prints
@@ -42,6 +45,7 @@ from bench_pairs import export
 # a number as the CLI writes it: repr of a float or an int, JSON's NaN and Infinity
 NUMBER = re.compile(r"(-?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|NaN|Infinity))")
 BAYES = ["--tail-alpha", "0.19", "--iterations", "12000", "--warmup", "3000", "--chains", "1"]
+BAYES_2 = ["--tail-alpha", "0.19", "--iterations", "4000", "--warmup", "1500", "--chains", "2"]
 
 
 def calls(panel: Path, out: Path) -> list:
@@ -58,9 +62,10 @@ def calls(panel: Path, out: Path) -> list:
         runs.append(([f"validate_{y}.csv"], ["validate", "--panel", str(panel), "--years", y,
                                             "--seed", "0"]))
     runs.append((["gof_10.json"], ["gof", *tri, "--years", "10", "--seed", "0"]))
-    for seed in ("1000", "1001"):
-        draws, predict = f"bayes_draws_{seed}.csv", f"bayes_predict_{seed}.csv"
-        runs.append(([draws, predict], ["bayes", *tri, *BAYES, "--seed", seed,
+    for name, config, seed in (("bayes", BAYES, "1000"), ("bayes", BAYES, "1001"),
+                               ("bayes_2chains", BAYES_2, "1001")):
+        draws, predict = f"{name}_draws_{seed}.csv", f"{name}_predict_{seed}.csv"
+        runs.append(([draws, predict], ["bayes", *tri, *config, "--seed", seed,
                                         "--predict-out", str(out / predict)]))
     return [(files, [*args, "--out", str(out / files[0])]) for files, args in runs]
 
