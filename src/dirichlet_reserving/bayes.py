@@ -325,16 +325,15 @@ class _Data:
         g_i of its row's closing shapes, the hyper scale by lam. The Jacobian is
         lam^2 prod g_i; the log ratio adds ((ll - ll0) - m dlog hyp) + 2 step + sum log g.
         """
-        a0, hyp, s = self.a0, self.hyp, self.s
         ck, close = self._closing()
         step = self.steps[self.n + 2] * rng.standard_normal()
         lam = float(np.exp(step))
-        b, hyp_new = lam * self.b, lam * hyp
-        g = (a0 + b - ck) / close
-        phi = s + g * (self.phi - s)
-        if (b >= _support_lower(a0, self.ratio) and b <= TAIL_SHAPE_CAP_MULT * a0
+        b, hyp_new = lam * self.b, lam * self.hyp
+        g = (self.a0 + b - ck) / close
+        phi = self.s + g * (self.phi - self.s)
+        if (b >= _support_lower(self.a0, self.ratio) and b <= TAIL_SHAPE_CAP_MULT * self.a0
                 and hyp_new <= self.cap and np.maximum.reduce(phi) < hyp_new):
-            logr = (self.move(b, sums=self.phi_sums(phi)) - self.ll - self.m * (log(hyp_new) - log(hyp))
+            logr = (self.move(b, sums=self.phi_sums(phi)) - self.ll - self.m * (log(hyp_new) - log(self.hyp))
                     + 2.0 * step + np.log(g).sum())
             if self._metropolis(self.n + 2, logr, rng):
                 self.phi, self.hyp = phi, hyp_new
@@ -343,17 +342,16 @@ class _Data:
         """Exact draws of the scales: u_i = s_i/phi_i from a Beta(c_k - 1, a0 + b - c_k)
         truncated to u_i > s_i/hyp; then of the hyper scale, whose conditional
         density is proportional to hyp^(-m) on (max phi, cap], in closed form."""
-        s, m, cap = self.s, self.m, self.cap
         ck, close = self._closing()
-        self.phi = phi = s / _sample_truncated_beta(ck - 1.0, close, s / self.hyp, rng)
+        self.phi = phi = self.s / _sample_truncated_beta(ck - 1.0, close, self.s / self.hyp, rng)
         self.scales(self.phi_sums(phi))
         top = float(np.maximum.reduce(phi))
         v = rng.random()
-        if m == 1:
-            self.hyp = top * np.exp(v * (np.log(cap) - np.log(top)))
+        if self.m == 1:
+            self.hyp = top * np.exp(v * (np.log(self.cap) - np.log(top)))
         else:
-            q = 1.0 - m
-            self.hyp = (top**q + v * (cap**q - top**q)) ** (1.0 / q)
+            q = 1.0 - self.m
+            self.hyp = (top**q + v * (self.cap**q - top**q)) ** (1.0 / q)
 
 
 def _support_lower(a0: float, tail_ratio: float) -> float:
@@ -439,13 +437,14 @@ def _split_rhat(chains_draws: np.ndarray) -> float:
     return float(np.sqrt(vhat / W))
 
 
-def _run_chain(data: _Data, spec: BayesSpec, a_ref, seed: int, chain: int):
-    """Restart ``data`` and run chain ``chain`` on it; return its kept draws of
-    a, b_n, phi and phi_hyper and each block's accepted proposals after warmup."""
+def _run_chain(data: _Data, spec: BayesSpec, a_ref, seed: int, chain: int, out) -> list:
+    """Restart ``data`` and run chain ``chain``, writing its kept draws into
+    ``out``, rows of the sample's a, b_n, phi and phi_hyper (no copy to raise
+    the peak memory). Returns each block's accepted proposals after warmup."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chain,)))
     data.start(spec, a_ref, rng)
-    kept, window = spec.iterations - spec.warmup, 50
-    A, B, PHI, HYP = np.empty((kept, data.n)), np.empty(kept), np.empty((kept, data.m)), np.empty(kept)
+    A, B, PHI, HYP = out
+    window = 50
     sweep = (data.shapes, data.joint, data.tail, data.ridge, data.draw_scales)  # the blocks of one iteration
     for it in range(spec.iterations):
         for block in sweep:
@@ -459,7 +458,7 @@ def _run_chain(data: _Data, spec: BayesSpec, a_ref, seed: int, chain: int):
         if it >= spec.warmup:
             i = it - spec.warmup
             A[i], B[i], PHI[i], HYP[i] = data.a, data.b, data.phi, data.hyp
-    return A, B, PHI, HYP, data.acc
+    return data.acc
 
 
 def run_mcmc(t: LossRatioTriangle, spec: BayesSpec, seed: int = 0) -> PosteriorSample:
@@ -478,11 +477,12 @@ def run_mcmc(t: LossRatioTriangle, spec: BayesSpec, seed: int = 0) -> PosteriorS
             f"loss ratio {data.s[top]:.4f} (accident year {t.years[top]})"
         )
     a_ref = mle.fit_mle(t).theta_hat.a
-    chains = [_run_chain(data, spec, a_ref, seed, chain) for chain in range(spec.chains)]
-    A, B, PHI, HYP, accepted = map(np.array, zip(*chains))
-    n, m = data.n, data.m
+    n, m, kept = data.n, data.m, spec.iterations - spec.warmup
+    A, B, PHI, HYP = (np.empty((spec.chains, kept, *shape)) for shape in ((n,), (), (m,), ()))
+    accepted = np.array([_run_chain(data, spec, a_ref, seed, c, (A[c], B[c], PHI[c], HYP[c]))
+                         for c in range(spec.chains)])
 
-    rates = accepted / (spec.iterations - spec.warmup)  # a block proposes once per iteration
+    rates = accepted / kept  # a block proposes once per iteration
     blocks = [f"a_{j + 1}" for j in range(n)] + ["a_scale", "b_n", "tail_scale"]
     if np.any(rates.max(axis=0) == 0.0):
         block = blocks[int(np.argmax(rates.max(axis=0) == 0.0))]

@@ -250,8 +250,10 @@ class TestCarriedTerms:
         monkeypatch.setattr(_CheckedData, "instances", [])
         spec = dr.BayesSpec(tail_alpha=0.19, iterations=400, warmup=200, chains=2)
         data = _CheckedData(lr18)
+        kept = spec.iterations - spec.warmup
+        a, b, phi, hyp = np.empty((kept, lr18.n)), np.empty(kept), np.empty((kept, lr18.m)), np.empty(kept)
         for chain in range(spec.chains):
-            a, b, phi, _, _ = dr.bayes._run_chain(data, spec, fit18.theta_hat.a, 3, chain)
+            dr.bayes._run_chain(data, spec, fit18.theta_hat.a, 3, chain, (a, b, phi, hyp))
         self.assert_carried(data, spec, a[-1], b[-1], phi[-1])
 
     @staticmethod
@@ -383,7 +385,12 @@ class TestRunMcmc:
         # chain 1 on a fresh instance is chain 1 of a run that shares one
         # instance between its chains: the restart leaves nothing of chain 0
         spec = small_spec(tail_alpha=0.19, iterations=600, warmup=300)
-        run = lambda data, chain: dr.bayes._run_chain(data, spec, fit10.theta_hat.a, 21, chain)
+        kept, n, m = spec.iterations - spec.warmup, lr10.n, lr10.m
+
+        def run(data, chain):
+            out = np.empty((kept, n)), np.empty(kept), np.empty((kept, m)), np.empty(kept)
+            return (*out, dr.bayes._run_chain(data, spec, fit10.theta_hat.a, 21, chain, out))
+
         shared = _Data(lr10)
         first, second = run(shared, 0), run(shared, 1)
         alone = run(_Data(lr10), 1)
