@@ -445,7 +445,7 @@ def _run_chain(data: _Data, spec: BayesSpec, a_ref, seed: int, chain: int, out) 
     data.start(spec, a_ref, rng)
     A, B, PHI, HYP = out
     window = 50
-    sweep = (data.shapes, data.joint, data.tail, data.ridge, data.draw_scales)  # the blocks of one iteration
+    sweep = (data.shapes, data.joint, data.tail, data.ridge, data.draw_scales)
     for it in range(spec.iterations):
         for block in sweep:
             block(rng)

@@ -164,6 +164,14 @@ class TestGroupedKernel:
         assert abs(stale - want) > 1.0
 
 
+def run_chain(data, spec, a_ref, seed, chain):
+    """``bayes._run_chain`` into new arrays: the chain's kept a, b_n, phi and
+    phi_hyper, and its accepted proposals per block."""
+    kept = spec.iterations - spec.warmup
+    out = np.empty((kept, data.n)), np.empty(kept), np.empty((kept, data.m)), np.empty(kept)
+    return (*out, dr.bayes._run_chain(data, spec, a_ref, seed, chain, out))
+
+
 class _CheckedData(_Data):
     """``_Data`` that holds every proposed and every carried total to the
     from-scratch :meth:`loglik`, and counts the moves it sees.
@@ -250,10 +258,8 @@ class TestCarriedTerms:
         monkeypatch.setattr(_CheckedData, "instances", [])
         spec = dr.BayesSpec(tail_alpha=0.19, iterations=400, warmup=200, chains=2)
         data = _CheckedData(lr18)
-        kept = spec.iterations - spec.warmup
-        a, b, phi, hyp = np.empty((kept, lr18.n)), np.empty(kept), np.empty((kept, lr18.m)), np.empty(kept)
         for chain in range(spec.chains):
-            dr.bayes._run_chain(data, spec, fit18.theta_hat.a, 3, chain, (a, b, phi, hyp))
+            a, b, phi, _, _ = run_chain(data, spec, fit18.theta_hat.a, 3, chain)
         self.assert_carried(data, spec, a[-1], b[-1], phi[-1])
 
     @staticmethod
@@ -385,15 +391,9 @@ class TestRunMcmc:
         # chain 1 on a fresh instance is chain 1 of a run that shares one
         # instance between its chains: the restart leaves nothing of chain 0
         spec = small_spec(tail_alpha=0.19, iterations=600, warmup=300)
-        kept, n, m = spec.iterations - spec.warmup, lr10.n, lr10.m
-
-        def run(data, chain):
-            out = np.empty((kept, n)), np.empty(kept), np.empty((kept, m)), np.empty(kept)
-            return (*out, dr.bayes._run_chain(data, spec, fit10.theta_hat.a, 21, chain, out))
-
         shared = _Data(lr10)
-        first, second = run(shared, 0), run(shared, 1)
-        alone = run(_Data(lr10), 1)
+        first, second = (run_chain(shared, spec, fit10.theta_hat.a, 21, chain) for chain in (0, 1))
+        alone = run_chain(_Data(lr10), spec, fit10.theta_hat.a, 21, 1)
         assert not np.array_equal(first[0], second[0])
         for got, want in zip(second, alone):
             np.testing.assert_array_equal(got, want)
