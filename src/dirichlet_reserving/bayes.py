@@ -476,7 +476,10 @@ def run_mcmc(t: LossRatioTriangle, spec: BayesSpec, seed: int = 0) -> PosteriorS
             f"phi_hyper_cap {spec.phi_hyper_cap} does not exceed the largest cumulative "
             f"loss ratio {data.s[top]:.4f} (accident year {t.years[top]})"
         )
-    a_ref = mle.fit_mle(t).theta_hat.a
+    try:
+        a_ref = mle.fit_mle(t).theta_hat.a
+    except mle.ConvergenceError as exc:
+        raise mle.ConvergenceError(f"start of the chains: {exc}") from None
     n, m, kept = data.n, data.m, spec.iterations - spec.warmup
     A, B, PHI, HYP = (np.empty((spec.chains, kept, *shape)) for shape in ((n,), (), (m,), ()))
     accepted = np.array([_run_chain(data, spec, a_ref, seed, c, (A[c], B[c], PHI[c], HYP[c]))

@@ -16,11 +16,11 @@ from the scaled vector.
 Replicate randomness comes from per-replicate streams derived from
 (seed, stage, replicate index), so every replicate is reproducible on its
 own, whatever replicates precede it. :func:`refit_replicates`, which the
-goodness-of-fit null shares, refits replicates in lockstep batches of
-``_CHUNK`` (a fixed constant, not an option) through ``mle._fit_batch``;
-a replicate's refit is bit-identical to fitting it alone, so the chunk
-size changes no output. :func:`bootstrap_once` simulates and refits one
-replicate through the same path, as a batch of one.
+goodness-of-fit null shares, draws ``_CHUNK`` replicates (a fixed
+constant, not an option) into one stack and refits them in one lockstep
+``mle._fit_batch`` run. Each dataset is bit-identical to its own
+``simulate_masked`` draw and each refit to fitting it alone, so the batch
+size changes no output; :func:`bootstrap_once` is that one-replicate oracle.
 """
 
 from __future__ import annotations
@@ -75,11 +75,25 @@ def bootstrap_once(
     return mle._fit_arrays(simulate_masked(theta_gen, t.k, rng), t.k, t.years).theta_hat
 
 
-# Replicates per lockstep batch: large enough to spread numpy's per-call
-# overhead thin, small enough that a batch's (R, m, n) work arrays stay at
-# 100-200 KiB. At 256 the peak RSS of repeated bootstrap calls in one
-# process grew about 1 MiB more than at 128, for about 15% more speed.
-_CHUNK = 128
+# Replicates per lockstep batch. A batch's Newton run pays about 10 ms of numpy
+# call overhead whatever its width (12 ms at 128 replicates, 14 ms at 256), so
+# a 400-replicate stage (validate's default) is one batch. The GOF null's PIT
+# runs in slices: a 500-null gof call traces 5.8 MiB at its peak unsliced, 2.4 at 128.
+_CHUNK = 400
+_SLICE = 128
+
+
+def _simulate(theta_gen, k, rngs):
+    """:func:`simulate_masked` of each generator in ``rngs``, bit for bit, as
+    one (R, m, n) stack: the gamma rows share one buffer, freed on return."""
+    shapes = np.append(theta_gen.a, theta_gen.b_n)
+    g = np.empty((len(rngs), theta_gen.m, shapes.size))
+    for row, rng in zip(g, rngs):
+        rng.standard_gamma(shapes, out=row)  # rng.gamma(shapes, size=(m, n + 1)), word for word
+    sims = g[:, :, :-1] / g.sum(axis=2, keepdims=True)
+    sims *= theta_gen.phi[:, None]
+    sims[:, np.arange(theta_gen.n) >= k[:, None]] = 0.0
+    return sims
 
 
 def refit_replicates(theta_gen, k, seed, stage, count, observed=None):
@@ -87,46 +101,46 @@ def refit_replicates(theta_gen, k, seed, stage, count, observed=None):
     observed mask ``k``, ``_CHUNK`` at a time.
 
     Replicate ``idx`` draws from its own generator
-    ``SeedSequence(seed, spawn_key=(stage, idx))``. Its dataset is refitted
-    together with the rest of its chunk by ``mle._fit_batch``. A replicate
-    whose refit fails, or, when ``observed`` is given, whose scale of a
-    partially developed row is not above ``observed``, simulates again
-    from its own generator in the next round, so its sequence of RNG calls
-    does not depend on the chunk. More than 10 failures of one replicate
-    raise :class:`BootstrapError`, naming the stage (1 and 2: the
-    predictive stages; 3: the goodness-of-fit null) and the lowest such
-    replicate index.
+    ``SeedSequence(seed, spawn_key=(stage, idx))``. A batch's datasets are
+    drawn into one (R, m, n) stack and refitted together by
+    ``mle._fit_batch``. A replicate whose refit fails, or, when
+    ``observed`` is given, whose scale of a partially developed row is not
+    above ``observed``, draws again from its own generator in the next
+    round, and its new dataset overwrites its row of the stack; so its
+    sequence of RNG calls does not depend on the batch. More than 10
+    failures of one replicate raise :class:`BootstrapError`, naming the
+    stage (1 and 2: the predictive stages; 3: the goodness-of-fit null) and
+    the lowest such replicate index.
 
-    Yields ``(a, phi, sims, rngs, failures)`` per chunk, in replicate
-    order: refitted shapes (R, n) and scales (R, m), the kept simulated
+    Yields ``(a, phi, sims, rngs, failures)`` per batch, in replicate
+    order: refitted shapes (R, n) and scales (R, m), the stack of kept
     datasets (R, m, n), each replicate's generator, for draws that follow
-    its refit, and the chunk's number of redraws.
+    its refit, and the batch's number of redraws.
     """
     k = np.asarray(k)
     m, n = theta_gen.m, theta_gen.n
     partial = k < n
     for start in range(0, count, _CHUNK):
         size = min(_CHUNK, count - start)
-        rngs = [
-            np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stage, start + j)))
-            for j in range(size)
-        ]
-        a, phi, sims = np.empty((size, n)), np.empty((size, m)), np.empty((size, m, n))
+        rngs = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stage, start + j)))
+                for j in range(size)]
+        sims, pending = _simulate(theta_gen, k, rngs), np.arange(size)
+        a, phi = np.empty((size, n)), np.empty((size, m))
         failures = np.zeros(size, dtype=int)
-        pending = np.arange(size)
         while pending.size:
-            sim = np.stack([simulate_masked(theta_gen, k, rngs[j]) for j in pending])
-            a_p, phi_p, _, _, _, ok = mle._fit_batch(sim, k)
+            a_p, phi_p, _, _, _, ok = mle._fit_batch(sims if pending.size == size else sims[pending], k)
             if observed is not None:
                 # conditional simulation must respect phi_i > observed cumulative
                 ok &= (phi_p[:, partial] > observed[partial]).all(axis=1)
             kept = pending[ok]
-            a[kept], phi[kept], sims[kept] = a_p[ok], phi_p[ok], sim[ok]
+            a[kept], phi[kept] = a_p[ok], phi_p[ok]
             pending = pending[~ok]
             failures[pending] += 1
-            if pending.size and failures[pending[0]] > 10:
-                raise BootstrapError(f"stage {stage} replicate {start + pending[0]} failed to "
-                                     "refit more than 10 times")
+            if pending.size:
+                if failures[pending[0]] > 10:
+                    raise BootstrapError(f"stage {stage} replicate {start + pending[0]} failed to "
+                                         "refit more than 10 times")
+                sims[pending] = _simulate(theta_gen, k, [rngs[j] for j in pending])
         yield a, phi, sims, rngs, int(failures.sum())
 
 
@@ -134,12 +148,13 @@ def _run_stage(theta_gen, t, n_sim, seed, stage, observed=None):
     """Refit one stage's replicates; with ``observed`` (stage 2), check
     their support and draw their unpaid sums."""
     a, phi, future, failures = [], [], [], 0
-    for a_c, phi_c, _, rngs, fails in refit_replicates(theta_gen, t.k, seed, stage, n_sim, observed):
+    for a_c, phi_c, sims, rngs, fails in refit_replicates(theta_gen, t.k, seed, stage, n_sim, observed):
         a.append(a_c)
         phi.append(phi_c)
         if observed is not None:
             future.append(unpaid_totals(a_c, 1.0, phi_c, t.k, observed, rngs))
         failures += fails
+        del sims, rngs  # so that the next batch is refitted without this one
     future = np.concatenate(future) if observed is not None else None
     return np.concatenate(a), np.concatenate(phi), future, failures
 
@@ -163,11 +178,8 @@ def bias_corrected_bootstrap(
     observed = t.observed_cumulative()
     a1, phi1, _, fail1 = _run_stage(theta_mle, t, n_sim, seed, 1)
     theta_avg = DirichletParams(a1.mean(axis=0), 1.0, phi1.mean(axis=0))
-    theta_mod = DirichletParams(
-        theta_mle.a * theta_mle.a / theta_avg.a,
-        1.0,
-        theta_mle.phi * theta_mle.phi / theta_avg.phi,
-    )
+    theta_mod = DirichletParams(theta_mle.a * theta_mle.a / theta_avg.a, 1.0,
+                                theta_mle.phi * theta_mle.phi / theta_avg.phi)
     a2, phi2, future, fail2 = _run_stage(theta_mod, t, n_sim, seed, 2, observed)
 
     return PredictiveDistribution(

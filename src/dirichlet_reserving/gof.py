@@ -5,7 +5,7 @@ observed cell divided by the remaining scale of its row follows a Beta
 distribution, so the fitted Beta CDF values over the triangle are iid
 uniform. A Kolmogorov-Smirnov statistic on those values is compared
 against its bootstrap null distribution (simulate from the fit, refit and
-retransform, one (R, m, n) stack per chunk), with a two-sided decision region.
+retransform, in slices of ``_SLICE``), with a two-sided decision region.
 
 The last development year's cell of accident years i <= m - n (1-based)
 is excluded, its transform being degenerate at 1. A staircase has m - n + 1
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mle
-from .bootstrap import refit_replicates
+from .bootstrap import _SLICE, refit_replicates
 from .errors import InputError
 from .model import DirichletParams, SupportError
 from .special import regularized_incomplete_beta
@@ -96,8 +96,8 @@ def gof_test(
     statistic falls outside the central 1 - alpha region of the null.
     Null replicate ``idx`` draws from its own stream derived from
     (seed, idx); the refits run in the bootstrap's lockstep batches
-    (:func:`bootstrap.refit_replicates`) and each chunk is transformed as
-    one stack, so the chunk size changes no statistic. More than 10 failed
+    (:func:`bootstrap.refit_replicates`), transformed in stacks of
+    ``_SLICE``, so neither size changes a statistic. More than 10 failed
     refits of one replicate raise ``BootstrapError`` naming stage 3.
     """
     if not 0.0 < alpha < 1.0:
@@ -108,9 +108,10 @@ def gof_test(
     u_obs = pit_transform(fit.theta_hat, t)
     t_obs = ks_statistic(u_obs)
 
-    batches = refit_replicates(fit.theta_hat, t.k, seed, 3, n_boot)
     null = np.concatenate([
-        ks_statistic(_pit(a, 1.0, phi, sims, t.k, t.years)) for a, phi, sims, _, _ in batches
+        ks_statistic(_pit(a[s:s + _SLICE], 1.0, phi[s:s + _SLICE], sims[s:s + _SLICE], t.k, t.years))
+        for a, phi, sims, _, _ in refit_replicates(fit.theta_hat, t.k, seed, 3, n_boot)
+        for s in range(0, len(a), _SLICE)
     ])
     lower = float(np.quantile(null, alpha / 2.0))
     upper = float(np.quantile(null, 1.0 - alpha / 2.0))

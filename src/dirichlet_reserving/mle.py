@@ -82,26 +82,24 @@ class _Stats:
         self.m, self.n = m, n
         self.k = np.asarray(k, dtype=int)
         mask = np.arange(n)[None, :] < self.k[:, None]
-        padded = np.where(mask, ratios, 0.0)
-        self.s = padded.sum(axis=2)
+        work = np.where(mask, ratios, 0.0)  # the one (R, m, n) buffer, reused below
+        self.s = work.sum(axis=2)
         self.N = mask.sum(axis=0)
         if np.any(self.N == 0):
             j = int(np.argmax(self.N == 0)) + 1
             raise IdentificationError(f"development year {j} is never observed")
-        lny = np.where(mask, ratios, 1.0)
-        self.L = np.log(lny, out=lny).sum(axis=1)
-        self.M = (mask * np.log(self.s)[:, :, None]).sum(axis=1)
+        mean_complete = np.take(self.s, np.flatnonzero(self.k == n), axis=1).mean(axis=1)
+        base = work.sum(axis=1) / self.N / mean_complete[:, None]
+        self.start = 100.0 * base / base.sum(axis=1, keepdims=True)
+        work[:, ~mask] = 1.0
+        self.L = np.log(work, out=work).sum(axis=1)
+        self.M = np.multiply(mask, np.log(self.s)[:, :, None], out=work).sum(axis=1)
         self.cnt = np.bincount(self.k, minlength=n + 1).astype(float)
         # distinct partial prefix lengths (complete rows contribute nothing
         # to the profile terms)
         self.kk = np.nonzero(self.cnt[1:n])[0] + 1
         self.ckk = self.cnt[self.kk]
-        mean_complete = np.take(self.s, np.flatnonzero(self.k == n), axis=1).mean(axis=1)
-        base = padded.sum(axis=1) / self.N / mean_complete[:, None]
-        self.start = 100.0 * base / base.sum(axis=1, keepdims=True)
-        idx = np.arange(1, n + 1)
-        self._later = np.maximum.outer(idx, idx)
-        self._earlier = np.minimum.outer(idx, idx) - 1
+        self._lower = np.greater.outer(np.arange(n), np.arange(n))
 
     def _cumulative(self, a: np.ndarray):
         # np.take keeps the gathered columns C-ordered, so that row sums
@@ -160,9 +158,10 @@ class _Stats:
         t2 = np.zeros((R, n + 1))
         t2[:, self.kk] = self.ckk * (1.0 / (a0 - ck) - tg[:, n + 1 :])
         pre2 = np.cumsum(t2, axis=1)  # pre2[q-1] = sum over prefixes < q
-        H = suf1[:, self._later]
-        H += (self.m * (tg[:, 0] - 1.0 / a0[:, 0]))[:, None, None]
-        H += pre2[:, self._earlier]
+        # H[p, q] = suf1[max(p, q) + 1] + m (tg(a0 + 1) - 1/a0) + pre2[min(p, q)], per triangle
+        later = suf1[:, 1 : n + 1] + (self.m * (tg[:, 0] - 1.0 / a0[:, 0]))[:, None]
+        H = np.add(later[:, None, :], pre2[:, :n, None])  # exact where p <= q
+        np.add(later[:, :, None], pre2[:, None, :n], out=H, where=self._lower)
         diag = np.arange(n)
         H[:, diag, diag] -= self.N * tg[:, 1 : n + 1]
         return H
@@ -226,6 +225,7 @@ def _newton(stats: _Stats, a_start: np.ndarray):
         Hl *= a[:, :, None] * a[:, None, :]
         Hl[:, diag, diag] += gl
         step = _solve(Hl, -gl)
+        del Hl  # the next Hessian is built without this one
         slope = (step * gl).sum(axis=1)
         newton = np.isfinite(step).all(axis=1) & (slope > 0.0)
         if not newton.all():
@@ -288,9 +288,8 @@ def _fit_arrays(ratios: np.ndarray, k: np.ndarray, years: tuple) -> FitResult:
     but finite) as a batch of one; raise :class:`ConvergenceError` unless it converges."""
     a, phi, ll, iterations, gnorm, converged = _fit_batch(ratios[None], k)
     if not converged[0]:
-        raise ConvergenceError(
-            f"no convergence after {iterations} iterations (gradient norm {gnorm[0]:.3g})"
-        )
+        raise ConvergenceError(f"MLE fit did not converge after {iterations} iterations "
+                               f"(gradient norm {gnorm[0]:.3g})")
     return FitResult(DirichletParams(a[0], 1.0, phi[0]), float(ll[0]), iterations, True,
                      float(gnorm[0]), years)
 

@@ -128,27 +128,39 @@ class TestReproducibility:
         assert not np.array_equal(a.ultimate_samples, b.ultimate_samples)
 
 
+def replicate_rng(seed, stage, idx):
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stage, idx)))
+
+
+def refit_with_forced_failures(monkeypatch, theta, k, seed, forced, count=100):
+    """One batch of ``refit_replicates`` (stage 1) in which the first attempt
+    of each replicate in ``forced`` is reported unconverged, so that it is
+    redrawn from its own stream whatever the last bits do; returns the
+    batch and the size of every refit round."""
+    real, rounds = mle._fit_batch, []
+
+    def fail_first_attempt(ratios, k):
+        *out, ok = real(ratios, k)
+        if not rounds:  # the first round holds every replicate in order
+            ok[forced] = False
+        rounds.append(len(ratios))
+        return (*out, ok)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mle, "_fit_batch", fail_first_attempt)
+        (batch,) = bootstrap.refit_replicates(theta, k, seed, 1, count)
+    return batch, rounds
+
+
 class TestReplicateEngine:
     def test_lockstep_refits_equal_one_at_a_time(self, lr18, fit18, monkeypatch):
-        # the first attempt of each forced replicate is reported unconverged,
-        # so it is redrawn from its own stream whatever the last bits do
         theta, seed, forced = fit18.theta_hat, 11, [0, 41, 99]
-        real, rounds = mle._fit_batch, []
-
-        def fail_first_attempt(ratios, k):
-            *out, ok = real(ratios, k)
-            if not rounds:  # the first round holds every replicate in order
-                ok[forced] = False
-            rounds.append(len(ratios))
-            return (*out, ok)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(mle, "_fit_batch", fail_first_attempt)
-            ((a, phi, _, _, failures),) = bootstrap.refit_replicates(theta, lr18.k, seed, 1, 100)
+        (a, phi, _, _, failures), rounds = refit_with_forced_failures(
+            monkeypatch, theta, lr18.k, seed, forced)
         assert rounds[0] == 100 and failures >= len(forced)
         retries = 0
         for idx in range(100):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1, idx)))
+            rng = replicate_rng(seed, 1, idx)
             if idx in forced:
                 simulate_masked(theta, lr18.k, rng)  # the discarded first attempt
                 retries += 1
@@ -161,6 +173,32 @@ class TestReplicateEngine:
             np.testing.assert_array_equal(refit.a, a[idx])
             np.testing.assert_array_equal(refit.phi, phi[idx])
         assert retries == failures
+
+    def test_batched_draws_equal_the_oracle(self, lr18, fit18, monkeypatch):
+        # every kept row of the stack, a redrawn one included, is the dataset
+        # that simulate_masked draws from a fresh generator of that replicate
+        # on its last attempt, and each yielded generator stands where the
+        # oracle's does, since stage 2's unpaid draws continue on it
+        theta, seed, forced = fit18.theta_hat, 11, [3, 57]
+        (_, _, sims, rngs, failures), rounds = refit_with_forced_failures(
+            monkeypatch, theta, lr18.k, seed, forced)
+        assert rounds[1] >= len(forced) and len(rngs) == sims.shape[0] == 100
+        redrawn = 0
+        for idx in range(100):
+            rng = replicate_rng(seed, 1, idx)
+            if idx in forced:
+                simulate_masked(theta, lr18.k, rng)  # the discarded first attempt
+                redrawn += 1
+            while True:
+                sim = simulate_masked(theta, lr18.k, rng)
+                try:
+                    mle._fit_arrays(sim, lr18.k, lr18.years)
+                    break
+                except ConvergenceError:
+                    redrawn += 1
+            assert sims[idx].tobytes() == sim.tobytes(), idx
+            assert rngs[idx].random() == rng.random(), idx
+        assert redrawn == failures
 
     def test_retry_limit_names_stage_and_replicate(self, lr10, fit10, monkeypatch, capsys):
         real = mle._fit_batch
@@ -188,9 +226,10 @@ class TestReplicateEngine:
         np.testing.assert_array_equal(a.ultimate_samples, b.ultimate_samples)
 
     def test_predict_bytes_independent_of_chunk(self, tmp_path, monkeypatch):
+        # 900 replicates are two full default batches and a partial one
         argv = [
             "predict", "--triangle", str(dr.example_insurer_path()), "--method", "mle-boot",
-            "--years", "all", "--seed", "0", "--nsim", "100",
+            "--years", "all", "--seed", "0", "--nsim", "900",
         ]
         outputs = []
         for chunk in (bootstrap._CHUNK, 7, 1000):

@@ -348,6 +348,25 @@ def test_numerical_failure_exits_one(error, fixture_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "numerical failure: the fit broke\n"
 
 
+@pytest.mark.parametrize("argv, stage", [
+    (["fit"], "MLE fit"),
+    (["gof"], "MLE fit"),
+    (["predict", "--method", "mle-boot"], "MLE fit"),
+    (["bayes", "--iterations", "1000", "--warmup", "500", "--chains", "1"],
+     "start of the chains: MLE fit"),
+], ids=lambda x: x[0] if isinstance(x, list) else None)
+def test_numerical_failure_names_the_stage(argv, stage, tmp_path, capsys):
+    # two accident years whose profiled likelihood has no finite optimum
+    tri = tmp_path / "two_rows.csv"
+    tri.write_text("accident_year,premium,dev_1,dev_2\n2001,100,30,20\n2002,100,25,\n")
+    out = tmp_path / "out"
+    assert run([argv[0], "--triangle", tri, *argv[1:], "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        f"numerical failure: {stage} did not converge after 200 iterations (gradient norm 0.00294)\n"
+    )
+    assert not out.exists()
+
+
 def test_every_exception_class_has_exactly_one_base():
     found = set()
     for info in pkgutil.iter_modules(dr.__path__):

@@ -215,10 +215,12 @@ class TestGofTest:
         assert (a.lower, a.upper, a.reject) == (b.lower, b.upper, b.reject)
 
     def test_null_sample_independent_of_chunk(self, lr10, monkeypatch):
+        # 450 nulls cross the default batch boundary at 400 and PIT slice
+        # boundaries at multiples of 128 within the first batch
         samples = []
-        for chunk in (7, 128, 1000):
+        for chunk in (bootstrap._CHUNK, 7, 128, 1000):
             monkeypatch.setattr(bootstrap, "_CHUNK", chunk)
-            samples.append(dr.gof_test(lr10, alpha=0.05, n_boot=150, seed=4).null_sample)
+            samples.append(dr.gof_test(lr10, alpha=0.05, n_boot=450, seed=4).null_sample)
         for other in samples[1:]:
             np.testing.assert_array_equal(other, samples[0])
 

@@ -13,7 +13,10 @@ each tree runs the same fixed list of CLI calls, writing into
 * ``fit``, ``benchmark --elr 0.75`` and ``predict --method
   cl|bf|expected|mle-boot`` (``bf`` and ``expected`` at ``--elr 0.75``),
   each at ``--years 10`` and ``all``;
-* ``gof --years 10``;
+* ``predict --method mle-boot --years 10 --nsim 1100``: two full refit
+  batches and a partial one;
+* ``gof --years 10`` and ``gof --years all``, the only GOF null on the
+  18-row mask;
 * ``bayes`` at the one-chain configuration of ``perfbench/run.py``
   (``--tail-alpha 0.19 --iterations 12000 --warmup 3000 --chains 1``),
   with ``--predict-out``, at seed 1000 and at seed 1001: the first never
@@ -24,10 +27,11 @@ each tree runs the same fixed list of CLI calls, writing into
 * ``validate`` on the one-insurer panel ``DIR/panel`` at 10 and all years.
 
 Every other call runs at seed 0. For each output file it prints
-``identical``, or the count of numbers that moved and the largest absolute
+``identical``, ``missing on base``, ``missing on head`` or ``missing on
+both``, or the count of numbers that moved and the largest absolute
 difference among them, or that the text around the numbers differs. It
-exits 1 when any file is not ``identical`` or any exit code differs, and
-0 otherwise.
+exits 1 when any exit code differs or any file is neither ``identical``
+nor ``missing on both``, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -61,7 +65,10 @@ def calls(panel: Path, out: Path) -> list:
             runs.append(([f"predict_{method}_{y}.csv"], ["predict", *common, "--method", method, *elr]))
         runs.append(([f"validate_{y}.csv"], ["validate", "--panel", str(panel), "--years", y,
                                             "--seed", "0"]))
-    runs.append((["gof_10.json"], ["gof", *tri, "--years", "10", "--seed", "0"]))
+    runs.append((["predict_mle-boot_10_nsim1100.csv"], ["predict", *tri, "--years", "10", "--seed", "0",
+                                                       "--method", "mle-boot", "--nsim", "1100"]))
+    for y in ("10", "all"):
+        runs.append(([f"gof_{y}.json"], ["gof", *tri, "--years", y, "--seed", "0"]))
     for name, config, seed in (("bayes", BAYES, "1000"), ("bayes", BAYES, "1001"),
                                ("bayes_2chains", BAYES_2, "1001")):
         draws, predict = f"{name}_draws_{seed}.csv", f"{name}_predict_{seed}.csv"
@@ -89,8 +96,9 @@ def run_tree(tree: Path, panel: Path, out: Path) -> dict:
 
 def compare(base: Path, head: Path) -> str:
     """``identical``, or what moved between the two files."""
-    if not base.exists() or not head.exists():
-        return "missing on " + ("base" if not base.exists() else "head")
+    missing = [side for side, path in (("base", base), ("head", head)) if not path.exists()]
+    if missing:
+        return "missing on " + ("both" if len(missing) == 2 else missing[0])
     a, b = base.read_text(encoding="utf-8"), head.read_text(encoding="utf-8")
     if a == b:
         return "identical"
@@ -130,7 +138,7 @@ def main(argv=None) -> int:
         for name in files:
             verdict = compare(outs["base"] / name, outs["head"] / name)
             print(f"{name}: {verdict}")
-            same &= verdict == "identical"
+            same &= verdict in ("identical", "missing on both")
     return 0 if same else 1
 
 
